@@ -1,18 +1,20 @@
 //! Kernel-engine throughput benchmark: AST interpreter vs batched bytecode
 //! VM vs the closure-compiled native tier.
 //!
-//! Runs the four generated skeleton kernel shapes (map, zip, reduce, scan)
-//! over 1M elements through all three engines and emits
-//! `BENCH_kernel_vm.json` with elements/sec per engine and the speedups, so
-//! future PRs have a perf trajectory to compare against.
+//! Runs the generated skeleton kernel shapes (map, zip, reduce, scan over
+//! 1M elements, and the map-overlap heat stencil over a 256×256 plate with
+//! halo 1) through all three engines and emits `BENCH_kernel_vm.json` with
+//! elements/sec per engine and the speedups, so future PRs have a perf
+//! trajectory to compare against. Every native run must complete all of its
+//! lane batches natively (no scalar replays); a replay fails the bench.
 //!
 //! Usage:
 //!   cargo run --release -p skelcl_bench --bin kernel_vm_bench
 //!   cargo run --release -p skelcl_bench --bin kernel_vm_bench -- --quick
 //!   cargo run --release -p skelcl_bench --bin kernel_vm_bench -- --out path.json
 //!
-//! `--quick` shrinks the element count so CI can use the binary as a smoke
-//! check (compile + run both engines, no thresholds).
+//! `--quick` shrinks the element count of the 1-D rows so CI can use the
+//! binary as a smoke check (compile + run every engine, no perf thresholds).
 
 use std::time::Instant;
 
@@ -71,17 +73,45 @@ const SCAN_SRC: &str = r#"
     }
 "#;
 
+/// The heat-diffusion step of the stencil row, wrapped exactly as
+/// `skelcl::kernelgen::map_overlap_kernel` emits it: the output store goes to
+/// the halo-padded index, the global id shifted by `halo × width`.
+const MAP_OVERLAP_SRC: &str = r#"
+    float func(float u, float alpha) {
+        return u + alpha * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u);
+    }
+    __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, __global float* skelcl_out, int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo, int skelcl_stencil_policy, float skelcl_stencil_oob, float skelcl_arg_alpha) {
+        int skelcl_gid = get_global_id(0);
+        if (skelcl_gid < skelcl_n) {
+            int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;
+            skelcl_out[skelcl_idx] = func(skelcl_stencil_in[skelcl_idx], skelcl_arg_alpha);
+        }
+    }
+"#;
+
+/// Plate side and halo of the map-overlap row (fixed in quick mode too).
+const PLATE: usize = 256;
+const HALO: usize = 1;
+
 struct Workload {
     name: &'static str,
     src: &'static str,
     kernel: &'static str,
-    /// Number of input buffers before the single output buffer.
-    inputs: usize,
-    /// Extra scalar args appended after `n`.
-    extra: &'static [Value],
-    /// Work-items per launch given `n` elements (1 for the sequential
-    /// reduce/scan kernels).
+    /// Elements each launch computes, given the run's element count `n`.
+    elements: fn(usize) -> usize,
+    /// Work-items per launch given `n` (1 for the sequential reduce/scan
+    /// kernels).
     items: fn(usize) -> usize,
+    /// Buffer lengths (inputs first, the output last) and the scalar
+    /// arguments of a launch, given `n`.
+    bind: fn(usize) -> (Vec<usize>, Vec<Value>),
+}
+
+/// `inputs` buffers of `n` elements, one output of `n`, then `n` and `extra`.
+fn linear(n: usize, inputs: usize, extra: &[Value]) -> (Vec<usize>, Vec<Value>) {
+    let mut scalars = vec![Value::Int(n as i32)];
+    scalars.extend_from_slice(extra);
+    (vec![n; inputs + 1], scalars)
 }
 
 const WORKLOADS: &[Workload] = &[
@@ -89,33 +119,53 @@ const WORKLOADS: &[Workload] = &[
         name: "map",
         src: MAP_SRC,
         kernel: "SKELCL_MAP",
-        inputs: 1,
-        extra: &[],
+        elements: |n| n,
         items: |n| n,
+        bind: |n| linear(n, 1, &[]),
     },
     Workload {
         name: "zip",
         src: ZIP_SRC,
         kernel: "SKELCL_ZIP",
-        inputs: 2,
-        extra: &[Value::Float(2.5)],
+        elements: |n| n,
         items: |n| n,
+        bind: |n| linear(n, 2, &[Value::Float(2.5)]),
     },
     Workload {
         name: "reduce",
         src: REDUCE_SRC,
         kernel: "SKELCL_REDUCE",
-        inputs: 1,
-        extra: &[],
+        elements: |n| n,
         items: |_| 1,
+        bind: |n| linear(n, 1, &[]),
     },
     Workload {
         name: "scan",
         src: SCAN_SRC,
         kernel: "SKELCL_SCAN",
-        inputs: 1,
-        extra: &[],
+        elements: |n| n,
         items: |_| 1,
+        bind: |n| linear(n, 1, &[]),
+    },
+    Workload {
+        name: "map_overlap",
+        src: MAP_OVERLAP_SRC,
+        kernel: "SKELCL_MAP_OVERLAP",
+        elements: |_| PLATE * PLATE,
+        items: |_| PLATE * PLATE,
+        // Input and output are the halo-padded part; clamp policy.
+        bind: |_| {
+            let padded = (PLATE + 2 * HALO) * PLATE;
+            let scalars = vec![
+                Value::Int((PLATE * PLATE) as i32),
+                Value::Int(PLATE as i32),
+                Value::Int(HALO as i32),
+                Value::Int(0),
+                Value::Float(0.0),
+                Value::Float(0.2),
+            ];
+            (vec![padded; 2], scalars)
+        },
     },
 ];
 
@@ -135,24 +185,44 @@ fn time_engine(w: &Workload, n: usize, reps: usize, engine: Engine) -> f64 {
     }
     let kernel = program.kernel(w.kernel).expect("kernel exists");
     let items = (w.items)(n);
+    let (lens, scalars) = (w.bind)(n);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut bufs: Vec<Vec<f32>> = (0..w.inputs)
-            .map(|b| (0..n).map(|i| ((i + b) % 97) as f32 * 0.25 + 0.5).collect())
+        let mut bufs: Vec<Vec<f32>> = lens
+            .iter()
+            .enumerate()
+            .map(|(b, &len)| {
+                if b + 1 == lens.len() {
+                    vec![0.0f32; len]
+                } else {
+                    (0..len)
+                        .map(|i| ((i + b) % 97) as f32 * 0.25 + 0.5)
+                        .collect()
+                }
+            })
             .collect();
-        bufs.push(vec![0.0f32; n]);
         let mut args: Vec<ArgBinding<'_>> = bufs
             .iter_mut()
             .map(|b| ArgBinding::Buffer(BufferView::F32(b)))
             .collect();
-        args.push(ArgBinding::Scalar(Value::Int(n as i32)));
-        args.extend(w.extra.iter().map(|v| ArgBinding::Scalar(*v)));
+        args.extend(scalars.iter().map(|v| ArgBinding::Scalar(*v)));
 
         let start = Instant::now();
         let stats = match engine {
             Engine::Interp => program.run_ndrange_measured_interp(&kernel, items, &mut args),
             Engine::Batched => program.run_ndrange_measured_batched(&kernel, items, &mut args),
-            Engine::Native => program.run_ndrange_measured(&kernel, items, &mut args),
+            Engine::Native => {
+                program
+                    .run_ndrange_traced(&kernel, items, &mut args)
+                    .map(|(stats, trace)| {
+                        assert!(
+                            trace.tier == Tier::Native && trace.replayed_batches == 0,
+                            "{}: the native tier must complete every batch: {trace:?}",
+                            w.name
+                        );
+                        stats
+                    })
+            }
         }
         .expect("benchmark kernels run");
         let elapsed = start.elapsed().as_secs_f64();
@@ -177,20 +247,22 @@ fn main() {
 
     let mut rows = Vec::new();
     for w in WORKLOADS {
+        let elems = (w.elements)(n) as f64;
         let t_interp = time_engine(w, n, reps.min(2), Engine::Interp);
         let t_vm = time_engine(w, n, reps, Engine::Batched);
         let t_native = time_engine(w, n, reps, Engine::Native);
-        let interp_eps = n as f64 / t_interp;
-        let vm_eps = n as f64 / t_vm;
-        let native_eps = n as f64 / t_native;
+        let interp_eps = elems / t_interp;
+        let vm_eps = elems / t_vm;
+        let native_eps = elems / t_native;
         let speedup = vm_eps / interp_eps;
         let native_vs_vm = native_eps / vm_eps;
         println!(
-            "{:<8} n={n:>8}  interp {:>11.0} elem/s  vm {:>11.0} elem/s  native {:>11.0} elem/s  native/vm {:>5.1}x",
+            "{:<11} n={elems:>8}  interp {:>11.0} elem/s  vm {:>11.0} elem/s  native {:>11.0} elem/s  native/vm {:>5.1}x",
             w.name, interp_eps, vm_eps, native_eps, native_vs_vm
         );
         rows.push((
             w.name,
+            elems,
             interp_eps,
             vm_eps,
             native_eps,
@@ -209,12 +281,12 @@ fn main() {
     );
     json.push_str("  \"units\": \"elements_per_second\",\n");
     json.push_str("  \"workloads\": {\n");
-    for (i, (name, interp_eps, vm_eps, native_eps, speedup, native_vs_vm)) in
+    for (i, (name, elems, interp_eps, vm_eps, native_eps, speedup, native_vs_vm)) in
         rows.iter().enumerate()
     {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
-            "    \"{name}\": {{ \"interp_eps\": {interp_eps:.0}, \"vm_eps\": {vm_eps:.0}, \"native_eps\": {native_eps:.0}, \"speedup\": {speedup:.2}, \"native_vs_vm\": {native_vs_vm:.2} }}{comma}\n",
+            "    \"{name}\": {{ \"elements\": {elems}, \"interp_eps\": {interp_eps:.0}, \"vm_eps\": {vm_eps:.0}, \"native_eps\": {native_eps:.0}, \"speedup\": {speedup:.2}, \"native_vs_vm\": {native_vs_vm:.2} }}{comma}\n",
         ));
     }
     json.push_str("  }\n}\n");

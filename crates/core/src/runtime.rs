@@ -146,6 +146,12 @@ impl ExecTrace {
         self.devices.iter().map(|d| d.native_launches).sum()
     }
 
+    /// Total lane batches the native tier aborted and replayed on the scalar
+    /// VM across all devices; zero when every native batch completed.
+    pub fn native_replayed_batches(&self) -> usize {
+        self.devices.iter().map(|d| d.native_replayed_batches).sum()
+    }
+
     /// Total kernels compiled to the native tier across all devices.
     pub fn native_compiles(&self) -> usize {
         self.devices.iter().map(|d| d.native_compiles).sum()
@@ -185,6 +191,9 @@ pub struct DeviceTrace {
     pub batched_launches: usize,
     /// Kernel-language launches executed by the closure-compiled native tier.
     pub native_launches: usize,
+    /// Lane batches the native tier aborted and replayed on the scalar VM on
+    /// this device.
+    pub native_replayed_batches: usize,
     /// Kernels compiled to the native tier on this device.
     pub native_compiles: usize,
     /// Nanoseconds spent compiling kernels to the native tier on this device.
@@ -372,6 +381,7 @@ impl SkelCl {
                     scalar_launches: tiers.scalar_launches,
                     batched_launches: tiers.batched_launches,
                     native_launches: tiers.native_launches,
+                    native_replayed_batches: tiers.native_replayed_batches,
                     native_compiles: tiers.native_compiles,
                     native_compile_ns: tiers.native_compile_ns,
                     deferred_errors: self.queues[d].deferred_error_count(),

@@ -3,6 +3,7 @@
 //! `ExecTrace`, results are identical across tiers, and `Plan::explain`
 //! renders the tier decision.
 
+use skelcl::prelude::*;
 use skelcl::skeletons::Map;
 use skelcl::vector::Vector;
 use skelcl::Tier;
@@ -63,6 +64,36 @@ fn auto_tier_graduates_large_launches() {
     assert_eq!(t.native_launches(), 1, "large launch graduates immediately");
     assert_eq!(t.batched_launches(), 0);
     assert_eq!(t.native_compiles(), 1);
+}
+
+#[test]
+fn map_overlap_sweeps_run_natively_without_replays() {
+    // 4 devices × 32 rows × 256 columns: every device launch covers 8192
+    // items, so each one graduates to the native tier under Tier::Auto.
+    let rt = skelcl::init_gpus(4);
+    rt.set_kernel_tier(Tier::Auto);
+    let heat = MapOverlap::<f32, f32>::from_source(
+        "float func(float u) { return u + 0.2f * (get(0, -1) + get(0, 1) + get(-1, 0) + get(1, 0) - 4.0f * u); }",
+    )
+    .with_halo(1)
+    .with_boundary(Boundary::Clamp);
+    let data: Vec<f32> = (0..128 * 256).map(|i| (i % 29) as f32).collect();
+    let m = Matrix::from_vec(&rt, 128, 256, data).unwrap();
+    heat.run(&m).run_iter(3).unwrap();
+    let t = rt.exec_trace();
+    let total =
+        t.interp_launches() + t.scalar_launches() + t.batched_launches() + t.native_launches();
+    assert_eq!(total, 12, "one launch per device and sweep");
+    assert_eq!(
+        t.native_launches(),
+        total,
+        "every stencil launch runs natively"
+    );
+    assert_eq!(
+        t.native_replayed_batches(),
+        0,
+        "no batch falls back to the VM"
+    );
 }
 
 #[test]

@@ -266,6 +266,8 @@ impl StencilCtx {
 /// policy. Shared verbatim by both execution engines; the cost accounting
 /// (one global load plus address arithmetic) is done by each engine's own
 /// counting mechanism *before* this call, so error paths charge identically.
+/// The native tier's typed fast path mirrors this arithmetic for `i32`
+/// offsets and hands every error case back here through its scalar replay.
 pub(crate) fn stencil_get(
     ctx: StencilCtx,
     args: &[ArgBinding<'_>],
@@ -288,7 +290,11 @@ pub(crate) fn stencil_get(
             stencil::POLICY_CLAMP => c.clamp(0, w - 1),
             stencil::POLICY_WRAP => c.rem_euclid(w),
             stencil::POLICY_CONSTANT => return Ok(Value::Float(ctx.oob)),
-            other => unreachable!("policy {other} rejected at context detection"),
+            other => {
+                return Err(KernelError::run(format!(
+                    "unknown stencil boundary policy {other}"
+                )))
+            }
         };
     }
     let idx = ((row + ctx.halo + dy) * w + c) as usize;
@@ -300,7 +306,10 @@ pub(crate) fn stencil_get(
                 view.len()
             ))
         }),
-        ArgBinding::Scalar(_) => unreachable!("buffer binding validated at context detection"),
+        ArgBinding::Scalar(_) => Err(KernelError::run(format!(
+            "stencil input `{}` must be bound to a float buffer",
+            stencil::IN_PARAM
+        ))),
     }
 }
 

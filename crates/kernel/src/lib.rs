@@ -108,7 +108,9 @@ pub struct Program {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
     /// The tier that executed the launch (never [`Tier::Auto`]: the
-    /// heuristic's decision is resolved before running).
+    /// heuristic's decision is resolved before running). A native launch in
+    /// which no batch completed natively reports [`Tier::Batched`]: its work
+    /// ran on the VM.
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -438,6 +440,9 @@ impl Program {
                 }
             }
             gid += n;
+        }
+        if trace.native_batches == 0 && global_size > 0 {
+            trace.tier = Tier::Batched;
         }
         // Both accumulators hold sums of dyadic per-instruction costs well
         // below 2^53, so adding them is exact regardless of order.

@@ -17,7 +17,11 @@
 //!   f32/i32 arithmetic becomes tight chunked loops over local fixed-size
 //!   arrays that LLVM auto-vectorises; buffer accesses whose index is the
 //!   work-item's global id (tracked as an *iota* kind) become bounds-checked
-//!   block copies;
+//!   block copies, and so do accesses whose addresses turn out contiguous
+//!   at run time (`a0 + lane`, checked per batch); stencil `get(dx, dy)`
+//!   with the same offsets on every lane of a batch is one span copy of the
+//!   `f32` input, and only lanes past a row edge (or a batch with per-lane
+//!   offsets) go through the interpreter's `stencil_get`;
 //! * basic blocks are **pre-linked**: jump targets are resolved to block
 //!   indices at compile time and each block's instruction costs are
 //!   pre-summed, charged `cost × active_lanes` once per block entry.
@@ -33,6 +37,27 @@
 //! discipline entirely (sequential order is trivially preserved), which
 //! makes single-work-item reduce/scan loops native-eligible with arbitrary
 //! addresses.
+//!
+//! ## Cross-lane hazards
+//!
+//! Lockstep runs instruction *k* for every lane before instruction *k + 1*;
+//! sequential order runs lane ℓ to completion before lane ℓ + 1. The two
+//! differ only when one lane touches an element another lane stores, so each
+//! multi-lane batch tracks, per buffer argument, whether it has been loaded,
+//! loaded at a foreign index (not the lane's own global id), stored, or
+//! written by a shifted store:
+//!
+//! * **own-index stores** (every lane writes its own global id) are safe as
+//!   long as no lane loads that buffer at a foreign index in the same
+//!   batch, before or after the store; otherwise the batch bails;
+//! * a **shifted store** (lane ℓ writes `a0 + ℓ`, not its own id — the
+//!   MapOverlap kernel's `skelcl_out[skelcl_idx]`, shifted by
+//!   `halo × width`) is safe when it is the batch's only access to that
+//!   buffer: it requires that nothing loaded or stored the buffer earlier in
+//!   the batch, and any later load or store of it bails. The lanes write
+//!   distinct elements that no other lane reads or writes, so lockstep and
+//!   sequential order leave the same memory;
+//! * every other store (strided, scattered) bails.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -415,11 +440,70 @@ pub(crate) struct ExecCtx<'a, 'b> {
     args: &'a mut [ArgBinding<'b>],
     stencil: Option<StencilCtx>,
     undo: &'a mut UndoLog,
-    slot_stored: &'a mut [bool],
-    slot_foreign_load: &'a mut [bool],
+    /// Per-argument-slot access history of the current batch.
+    slots: &'a mut [SlotFlags],
+    /// Scratch for the lane addresses of one buffer access.
+    addrs: &'a mut [i64; BATCH_LANES],
     /// Cross-lane hazard checks; off for single-lane batches, whose
     /// sequential order is trivially preserved.
     hazards: bool,
+}
+
+/// What the current batch has done to one buffer argument slot so far; the
+/// cross-lane hazard rules (see the module docs) read and update it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SlotFlags {
+    /// Some lane loaded from the slot (any load kind).
+    loaded: bool,
+    /// Some lane loaded an element other than its own global id.
+    foreign_load: bool,
+    /// Some lane stored to the slot.
+    stored: bool,
+    /// A shifted store wrote the slot: every further access bails.
+    shifted: bool,
+}
+
+impl ExecCtx<'_, '_> {
+    /// Record a load from `slot`; `foreign` says whether some lane read an
+    /// element other than its own global id. Bails when lockstep order could
+    /// observe a store that sequential order would not (or vice versa).
+    #[inline(always)]
+    fn note_load(&mut self, slot: usize, foreign: bool) -> Result<(), NativeAbort> {
+        if !self.hazards {
+            return Ok(());
+        }
+        let f = &mut self.slots[slot];
+        if f.shifted || (foreign && f.stored) {
+            return Err(NativeAbort::Bail);
+        }
+        f.loaded = true;
+        f.foreign_load |= foreign;
+        Ok(())
+    }
+
+    /// Record a store to `slot` whose active-lane addresses are each lane's
+    /// own global id (`own`) or `a0 + lane` (`contiguous`). Own-index stores
+    /// are safe unless the slot saw a foreign load; a shifted store is safe
+    /// only as the batch's sole access to the slot; anything else bails.
+    #[inline(always)]
+    fn note_store(&mut self, slot: usize, own: bool, contiguous: bool) -> Result<(), NativeAbort> {
+        if !self.hazards {
+            return Ok(());
+        }
+        let f = &mut self.slots[slot];
+        let safe = !f.shifted
+            && if own {
+                !f.foreign_load
+            } else {
+                contiguous && !f.loaded && !f.stored
+            };
+        if !safe {
+            return Err(NativeAbort::Bail);
+        }
+        f.shifted = !own;
+        f.stored = true;
+        Ok(())
+    }
 }
 
 type StepFn =
@@ -472,6 +556,78 @@ fn addr_of(regs: &RegFile, kind: NKind, row: usize, lane: usize) -> i64 {
         NKind::F64 => regs.f64s[row + lane] as i64,
         NKind::I32 => regs.i32s[row + lane] as i64,
         NKind::Bool => i64::from(regs.bools[row + lane]),
+    }
+}
+
+/// Fill `addrs` with the buffer addresses of the active lanes held in `row`
+/// (one per entry of `items`) and classify them: `(contiguous, own)`, where
+/// `contiguous` means lane ℓ addresses `addrs[0] + ℓ` and `own` means every
+/// lane addresses its own global id.
+#[inline(always)]
+fn lane_addrs(
+    regs: &RegFile,
+    kind: NKind,
+    row: usize,
+    items: &[WorkItem],
+    addrs: &mut [i64],
+) -> (bool, bool) {
+    let (mut contiguous, mut own) = (true, true);
+    let mut a0 = 0;
+    for (li, (slot, it)) in addrs.iter_mut().zip(items).enumerate() {
+        let a = addr_of(regs, kind, row, li);
+        if li == 0 {
+            a0 = a;
+        }
+        *slot = a;
+        contiguous &= a0.checked_add(li as i64) == Some(a);
+        own &= usize::try_from(a) == Ok(it.global_id);
+    }
+    (contiguous, own)
+}
+
+/// [`lane_addrs`] for a multi-lane batch. A single-lane batch (a sequential
+/// reduce/scan loop) has no cross-lane order to protect and one element is no
+/// span, so it only stores its address and reports `(false, true)`.
+#[inline(always)]
+fn lanes_or_single(cx: &mut ExecCtx<'_, '_>, kind: NKind, row: usize, n: usize) -> (bool, bool) {
+    if cx.hazards {
+        lane_addrs(cx.regs, kind, row, &cx.items[..n], &mut cx.addrs[..n])
+    } else {
+        cx.addrs[0] = addr_of(cx.regs, kind, row, 0);
+        (false, true)
+    }
+}
+
+/// The element range `a0..a0 + n` of a contiguous access (`None` when `a0`
+/// is negative; the replay reports the error).
+#[inline(always)]
+fn span(a0: i64, n: usize) -> Option<std::ops::Range<usize>> {
+    let start = usize::try_from(a0).ok()?;
+    Some(start..start.checked_add(n)?)
+}
+
+/// Store the first `dst.len()` lanes of the `kind` row at `s` into an `f32`
+/// span, converting exactly like [`BufferView::store`] (`as_f64() as f32`).
+#[inline(always)]
+fn store_f32_lanes(regs: &RegFile, kind: NKind, s: usize, dst: &mut [f32]) {
+    let n = dst.len();
+    match kind {
+        NKind::F32 => dst.copy_from_slice(&regs.f32s[s..s + n]),
+        NKind::F64 => {
+            for (v, x) in dst.iter_mut().zip(&regs.f64s[s..s + n]) {
+                *v = *x as f32;
+            }
+        }
+        NKind::I32 => {
+            for (v, x) in dst.iter_mut().zip(&regs.i32s[s..s + n]) {
+                *v = (*x as f64) as f32;
+            }
+        }
+        NKind::Bool => {
+            for (v, x) in dst.iter_mut().zip(&regs.bools[s..s + n]) {
+                *v = if *x { 1.0 } else { 0.0 };
+            }
+        }
     }
 }
 
@@ -573,8 +729,8 @@ pub(crate) struct NativeExec {
     kernel: Arc<NativeKernel>,
     regs: RegFile,
     undo: UndoLog,
-    slot_stored: Vec<bool>,
-    slot_foreign_load: Vec<bool>,
+    slots: Vec<SlotFlags>,
+    addrs: [i64; BATCH_LANES],
 }
 
 impl NativeExec {
@@ -587,8 +743,8 @@ impl NativeExec {
             kernel,
             regs,
             undo: UndoLog::default(),
-            slot_stored: Vec::new(),
-            slot_foreign_load: Vec::new(),
+            slots: Vec::new(),
+            addrs: [0; BATCH_LANES],
         }
     }
 
@@ -619,10 +775,8 @@ impl NativeExec {
             }
         }
         self.undo.clear();
-        self.slot_stored.clear();
-        self.slot_stored.resize(args.len(), false);
-        self.slot_foreign_load.clear();
-        self.slot_foreign_load.resize(args.len(), false);
+        self.slots.clear();
+        self.slots.resize(args.len(), SlotFlags::default());
         for &(slot, declared) in &kernel.scalar_params {
             if let ArgBinding::Scalar(v) = &args[slot] {
                 broadcast(&mut self.regs, slot * BATCH_LANES, v.convert_to(declared));
@@ -643,8 +797,8 @@ impl NativeExec {
             args,
             stencil,
             undo: &mut self.undo,
-            slot_stored: &mut self.slot_stored,
-            slot_foreign_load: &mut self.slot_foreign_load,
+            slots: &mut self.slots,
+            addrs: &mut self.addrs,
             hazards: lanes >= 2,
         };
         loop {
@@ -1723,8 +1877,8 @@ fn build_step(
                     step(move |cx| {
                         let n = cx.n_active;
                         // Iota ⇒ lane ℓ's address is `start + ℓ` and owns its
-                        // element, so one bounds check covers the batch and
-                        // no hazard flags change (every access is own-index).
+                        // element, so one bounds check covers the batch.
+                        cx.note_load(slot_us, false)?;
                         let start = cx.regs.i32s[i] as usize;
                         let ArgBinding::Buffer(BufferView::F32(buf)) = &cx.args[slot_us] else {
                             return Err(NativeAbort::Error);
@@ -1740,19 +1894,21 @@ fn build_step(
             } else {
                 (
                     step(move |cx| {
-                        for li in 0..cx.n_active {
-                            let addr = addr_of(cx.regs, ik, i, li);
-                            if addr < 0 {
+                        let n = cx.n_active;
+                        let (contiguous, own) = lanes_or_single(cx, ik, i, n);
+                        cx.note_load(slot_us, !own)?;
+                        let ArgBinding::Buffer(view) = &cx.args[slot_us] else {
+                            return Err(NativeAbort::Error);
+                        };
+                        if let (BufferView::F32(buf), true) = (view, contiguous) {
+                            let Some(src) = span(cx.addrs[0], n).and_then(|r| buf.get(r)) else {
                                 return Err(NativeAbort::Error);
-                            }
-                            let addr = addr as usize;
-                            if cx.hazards && addr != cx.items[li].global_id {
-                                cx.slot_foreign_load[slot_us] = true;
-                                if cx.slot_stored[slot_us] {
-                                    return Err(NativeAbort::Bail);
-                                }
-                            }
-                            let ArgBinding::Buffer(view) = &cx.args[slot_us] else {
+                            };
+                            cx.regs.f32s[d..d + n].copy_from_slice(src);
+                            return Ok(());
+                        }
+                        for (li, &a) in cx.addrs[..n].iter().enumerate() {
+                            let Ok(addr) = usize::try_from(a) else {
                                 return Err(NativeAbort::Error);
                             };
                             match view {
@@ -1784,31 +1940,8 @@ fn build_step(
                 (
                     step(move |cx| {
                         let n = cx.n_active;
-                        if cx.hazards && cx.slot_foreign_load[slot_us] {
-                            return Err(NativeAbort::Bail);
-                        }
+                        cx.note_store(slot_us, true, true)?;
                         let start = cx.regs.i32s[i] as usize;
-                        // Convert the source row exactly like
-                        // `BufferView::store` (`as_f64() as f32`).
-                        let mut vals = [0.0f32; BATCH_LANES];
-                        match sk {
-                            NKind::F32 => vals[..n].copy_from_slice(&cx.regs.f32s[s..s + n]),
-                            NKind::F64 => {
-                                for (v, x) in vals[..n].iter_mut().zip(&cx.regs.f64s[s..s + n]) {
-                                    *v = *x as f32;
-                                }
-                            }
-                            NKind::I32 => {
-                                for (v, x) in vals[..n].iter_mut().zip(&cx.regs.i32s[s..s + n]) {
-                                    *v = (*x as f64) as f32;
-                                }
-                            }
-                            NKind::Bool => {
-                                for (v, x) in vals[..n].iter_mut().zip(&cx.regs.bools[s..s + n]) {
-                                    *v = if *x { 1.0 } else { 0.0 };
-                                }
-                            }
-                        }
                         let ArgBinding::Buffer(BufferView::F32(buf)) = &mut cx.args[slot_us] else {
                             return Err(NativeAbort::Error);
                         };
@@ -1816,8 +1949,7 @@ fn build_step(
                             return Err(NativeAbort::Error);
                         };
                         cx.undo.push_span(slot, start, dst);
-                        dst.copy_from_slice(&vals[..n]);
-                        cx.slot_stored[slot_us] = true;
+                        store_f32_lanes(cx.regs, sk, s, dst);
                         Ok(())
                     }),
                     " ; iota f32 span",
@@ -1825,22 +1957,28 @@ fn build_step(
             } else {
                 (
                     step(move |cx| {
-                        for li in 0..cx.n_active {
-                            let addr = addr_of(cx.regs, ik, i, li);
-                            if addr < 0 {
-                                return Err(NativeAbort::Error);
-                            }
-                            let addr = addr as usize;
-                            if cx.hazards
-                                && (addr != cx.items[li].global_id || cx.slot_foreign_load[slot_us])
-                            {
-                                return Err(NativeAbort::Bail);
-                            }
-                            let v = read_value(cx.regs, sk, s, li);
-                            let ArgBinding::Buffer(view) = &mut cx.args[slot_us] else {
+                        let n = cx.n_active;
+                        let (contiguous, own) = lanes_or_single(cx, ik, i, n);
+                        cx.note_store(slot_us, own, contiguous)?;
+                        let ArgBinding::Buffer(view) = &mut cx.args[slot_us] else {
+                            return Err(NativeAbort::Error);
+                        };
+                        if let (BufferView::F32(buf), true) = (&mut *view, contiguous) {
+                            let Some((start, dst)) =
+                                span(cx.addrs[0], n).and_then(|r| Some((r.start, buf.get_mut(r)?)))
+                            else {
                                 return Err(NativeAbort::Error);
                             };
-                            match view {
+                            cx.undo.push_span(slot, start, dst);
+                            store_f32_lanes(cx.regs, sk, s, dst);
+                            return Ok(());
+                        }
+                        for (li, &a) in cx.addrs[..n].iter().enumerate() {
+                            let Ok(addr) = usize::try_from(a) else {
+                                return Err(NativeAbort::Error);
+                            };
+                            let v = read_value(cx.regs, sk, s, li);
+                            match &mut *view {
                                 BufferView::F32(buf) => {
                                     let Some(p) = buf.get_mut(addr) else {
                                         return Err(NativeAbort::Error);
@@ -1859,7 +1997,6 @@ fn build_step(
                                 }
                             }
                         }
-                        cx.slot_stored[slot_us] = true;
                         Ok(())
                     }),
                     "",
@@ -2006,23 +2143,64 @@ fn build_step(
                     let Some(ctx) = cx.stencil else {
                         return Err(NativeAbort::Error);
                     };
-                    if cx.hazards {
-                        if cx.slot_stored[ctx.in_slot] {
-                            return Err(NativeAbort::Bail);
+                    cx.note_load(ctx.in_slot, true)?;
+                    let n = cx.n_active;
+                    let items = &cx.items[..n];
+                    let regs = &mut *cx.regs;
+                    let dx = addr_of(regs, dxk, dx_row, 0);
+                    let dy = addr_of(regs, dyk, dy_row, 0);
+                    let gid0 = items.first().map_or(0, |it| it.global_id);
+                    // When every lane asks for the same in-halo (dx, dy) over
+                    // consecutive global ids, lane ℓ reads `base + ℓ` wherever
+                    // its column `c + dx` stays inside the row: one span copy
+                    // covers the batch, and only the lanes past a row edge go
+                    // through `stencil_get`.
+                    let uniform = (-ctx.halo..=ctx.halo).contains(&dy)
+                        && items.iter().enumerate().all(|(li, it)| {
+                            it.global_id == gid0 + li
+                                && addr_of(regs, dxk, dx_row, li) == dx
+                                && addr_of(regs, dyk, dy_row, li) == dy
+                        });
+                    let w = ctx.width;
+                    let src = match &cx.args[ctx.in_slot] {
+                        ArgBinding::Buffer(BufferView::F32(buf)) if uniform => (ctx.halo + dy)
+                            .checked_mul(w)
+                            .and_then(|x| x.checked_add(dx))
+                            .and_then(|x| x.checked_add(i64::try_from(gid0).ok()?))
+                            .and_then(|base| span(base, n))
+                            .and_then(|r| buf.get(r)),
+                        _ => None,
+                    };
+                    let edge_only = src.is_some();
+                    if let Some(src) = src {
+                        regs.f32s[d..d + n].copy_from_slice(src);
+                        let c0 = gid0 as i64 % w;
+                        let last = c0 + n as i64 - 1;
+                        if last < w && c0 + dx >= 0 && last + dx < w {
+                            return Ok(());
                         }
-                        cx.slot_foreign_load[ctx.in_slot] = true;
                     }
-                    for li in 0..cx.n_active {
-                        let dx = addr_of(cx.regs, dxk, dx_row, li);
-                        let dy = addr_of(cx.regs, dyk, dy_row, li);
-                        match stencil_get(ctx, cx.args, cx.items[li].global_id, dx, dy) {
-                            Ok(v) => write_value(cx.regs, NKind::F32, d, li, v),
+                    for (li, it) in items.iter().enumerate() {
+                        let (dx, dy) = if edge_only {
+                            let c = it.global_id as i64 % w + dx;
+                            if (0..w).contains(&c) {
+                                continue;
+                            }
+                            (dx, dy)
+                        } else {
+                            (
+                                addr_of(regs, dxk, dx_row, li),
+                                addr_of(regs, dyk, dy_row, li),
+                            )
+                        };
+                        match stencil_get(ctx, cx.args, it.global_id, dx, dy) {
+                            Ok(v) => write_value(regs, NKind::F32, d, li, v),
                             Err(_) => return Err(NativeAbort::Error),
                         }
                     }
                     Ok(())
                 }),
-                "",
+                " ; f32 span get",
             )
         }
         other => return Err(format!("unsupported instruction {other:?}")),

@@ -31,6 +31,21 @@ fn run_engine(
     global_size: usize,
     engine: Engine,
 ) -> Outcome {
+    let (bufs, stats) =
+        run_engine_keeping_buffers(src, kernel, buffers, scalars, global_size, engine);
+    stats.map(|s| (bufs, s))
+}
+
+/// [`run_engine`], returning the buffers also when the launch fails: they
+/// then hold whatever the work-items before the failing one stored.
+fn run_engine_keeping_buffers(
+    src: &str,
+    kernel: &str,
+    buffers: &[Vec<f32>],
+    scalars: &[Value],
+    global_size: usize,
+    engine: Engine,
+) -> (Vec<Vec<f32>>, Result<ExecStats, String>) {
     let p = Program::build(src).expect("test kernels must build");
     let k = p.kernel(kernel).expect("kernel exists");
     if engine == Engine::Native {
@@ -51,10 +66,7 @@ fn run_engine(
         Engine::Native => p.run_ndrange_measured(&k, global_size, &mut args),
     };
     drop(args);
-    match stats {
-        Ok(s) => Ok((bufs, s)),
-        Err(e) => Err(e.message),
-    }
+    (bufs, stats.map_err(|e| e.message))
 }
 
 /// Assert every tier produces the interpreter oracle's outcome exactly:
@@ -96,6 +108,76 @@ fn assert_tiers_agree(
         }
     }
 }
+
+/// [`assert_tiers_agree`], plus: a failed launch leaves bit-identical
+/// buffers on every tier (the stores of the work-items sequentially before
+/// the failing one, nothing else).
+fn assert_tiers_agree_after_errors(
+    src: &str,
+    kernel: &str,
+    buffers: &[Vec<f32>],
+    scalars: &[Value],
+    global_size: usize,
+) {
+    assert_tiers_agree(src, kernel, buffers, scalars, global_size);
+    let bits = |bufs: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+        bufs.iter()
+            .map(|b| b.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    let (oracle, _) =
+        run_engine_keeping_buffers(src, kernel, buffers, scalars, global_size, Engine::Interp);
+    let oracle = bits(oracle);
+    for engine in ENGINES {
+        let (got, _) =
+            run_engine_keeping_buffers(src, kernel, buffers, scalars, global_size, engine);
+        assert_eq!(
+            bits(got),
+            oracle,
+            "buffers diverged on {engine:?} for kernel:\n{src}"
+        );
+    }
+}
+
+/// One launch pinned to the native tier, returning its [`LaunchTrace`]
+/// (batches completed natively vs. replayed), or the launch error.
+///
+/// [`LaunchTrace`]: skelcl_kernel::LaunchTrace
+fn native_trace(
+    src: &str,
+    kernel: &str,
+    buffers: &[Vec<f32>],
+    scalars: &[Value],
+    global_size: usize,
+) -> Result<skelcl_kernel::LaunchTrace, String> {
+    let p = Program::build(src).expect("test kernels must build");
+    p.set_tier(Tier::Native);
+    let k = p.kernel(kernel).expect("kernel exists");
+    let mut bufs: Vec<Vec<f32>> = buffers.to_vec();
+    let mut args: Vec<ArgBinding<'_>> = bufs
+        .iter_mut()
+        .map(|b| ArgBinding::Buffer(BufferView::F32(b)))
+        .collect();
+    args.extend(scalars.iter().map(|s| ArgBinding::Scalar(*s)));
+    p.run_ndrange_traced(&k, global_size, &mut args)
+        .map(|(_, trace)| trace)
+        .map_err(|e| e.message)
+}
+
+/// The kernel `map_overlap_kernel` generates for a `get(dx, dy)` UDF: the
+/// output store goes to the halo-padded index `skelcl_idx`, which is the
+/// work-item's global id shifted by `halo × width`.
+const GENERATED_STENCIL_SRC: &str =
+    "float func(float x, int dx, int dy) { return x + 0.5f * (get(-1, 0) + get(1, 0) + get(dx, dy)); }\n\
+     __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, __global float* skelcl_out,\n\
+         int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo,\n\
+         int skelcl_stencil_policy, float skelcl_stencil_oob, int skelcl_arg_dx, int skelcl_arg_dy) {\n\
+         int skelcl_gid = get_global_id(0);\n\
+         if (skelcl_gid < skelcl_n) {\n\
+             int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;\n\
+             skelcl_out[skelcl_idx] = func(skelcl_stencil_in[skelcl_idx], skelcl_arg_dx, skelcl_arg_dy);\n\
+         }\n\
+     }\n";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -275,6 +357,108 @@ proptest! {
             n,
         );
     }
+
+    /// The stencil kernel exactly as the MapOverlap skeleton generates it:
+    /// shifted output stores into a padded part, multi-batch launches whose
+    /// batches straddle row boundaries, every column policy and `dx`/`dy`
+    /// beyond the halo. Tiers agree, and whenever the launch succeeds the
+    /// native tier completes every batch without a replay.
+    #[test]
+    fn generated_stencil_kernel_agrees_and_stays_native(
+        rows in 1usize..10,
+        w in 1usize..40,
+        halo in 0usize..4,
+        policy in 0i32..3,
+        dx in -4i32..5,
+        dy in -4i32..5,
+        seed in 0u32..1000,
+    ) {
+        let n = rows * w;
+        let padded = (rows + 2 * halo) * w;
+        let input: Vec<f32> = (0..padded)
+            .map(|i| ((i as u32 * 37 + seed) % 101) as f32 * 0.5 - 20.0)
+            .collect();
+        let out = vec![0.25f32; padded];
+        let scalars = [
+            Value::Int(n as i32),
+            Value::Int(w as i32),
+            Value::Int(halo as i32),
+            Value::Int(policy),
+            Value::Float(-1.5),
+            Value::Int(dx),
+            Value::Int(dy),
+        ];
+        let buffers = [input, out];
+        assert_tiers_agree_after_errors(GENERATED_STENCIL_SRC, "SKELCL_MAP_OVERLAP", &buffers, &scalars, n);
+        let traced = native_trace(GENERATED_STENCIL_SRC, "SKELCL_MAP_OVERLAP", &buffers, &scalars, n);
+        prop_assert_eq!(traced.is_ok(), dy.unsigned_abs() as usize <= halo);
+        if let Ok(trace) = traced {
+            prop_assert_eq!(trace.tier, Tier::Native);
+            prop_assert_eq!(trace.replayed_batches, 0);
+            prop_assert_eq!(trace.native_batches as usize, n.div_ceil(skelcl_kernel::vm::BATCH_LANES));
+        }
+    }
+}
+
+/// `get(dx, dy)` on rows as wide as a batch or wider, with offsets reaching
+/// far past the row edge: offsets uniform across the lanes (one span read,
+/// per-lane patches where a batch crosses into the next row) and offsets that
+/// vary per lane in `dy` or `dx`. Tiers agree, and the native tier completes
+/// every batch; a uniform `dy` past the halo fails exactly like the oracle.
+#[test]
+fn stencil_span_reads_patch_row_edges_exactly() {
+    let src =
+        "float func(float x, int dx) {\n\
+             int g = get_global_id(0);\n\
+             return x + get(dx, 0) + 0.5f * get(dx, g % 3 - 1) + 0.25f * get(g % 5 - 2 + dx, 1);\n\
+         }\n\
+         __kernel void SKELCL_MAP_OVERLAP(__global float* skelcl_stencil_in, __global float* skelcl_out,\n\
+             int skelcl_n, int skelcl_stencil_w, int skelcl_stencil_halo,\n\
+             int skelcl_stencil_policy, float skelcl_stencil_oob, int skelcl_arg_dx) {\n\
+             int skelcl_gid = get_global_id(0);\n\
+             if (skelcl_gid < skelcl_n) {\n\
+                 int skelcl_idx = (skelcl_gid / skelcl_stencil_w + skelcl_stencil_halo) * skelcl_stencil_w + skelcl_gid % skelcl_stencil_w;\n\
+                 skelcl_out[skelcl_idx] = func(skelcl_stencil_in[skelcl_idx], skelcl_arg_dx);\n\
+             }\n\
+         }\n";
+    let (rows, halo) = (3usize, 1usize);
+    for w in [50usize, 64, 100, 130] {
+        let n = rows * w;
+        let padded = (rows + 2 * halo) * w;
+        let input: Vec<f32> = (0..padded)
+            .map(|i| ((i * 37) % 101) as f32 * 0.5 - 20.0)
+            .collect();
+        let buffers = [input, vec![0.25f32; padded]];
+        for policy in 0i32..3 {
+            for dx in [-70i32, -30, -1, 0, 1, 30, 70] {
+                let scalars = [
+                    Value::Int(n as i32),
+                    Value::Int(w as i32),
+                    Value::Int(halo as i32),
+                    Value::Int(policy),
+                    Value::Float(-1.5),
+                    Value::Int(dx),
+                ];
+                assert_tiers_agree(src, "SKELCL_MAP_OVERLAP", &buffers, &scalars, n);
+                let trace = native_trace(src, "SKELCL_MAP_OVERLAP", &buffers, &scalars, n)
+                    .expect("in-halo offsets succeed");
+                assert_eq!(trace.tier, Tier::Native);
+                assert_eq!(trace.replayed_batches, 0);
+                // A uniform `dy` one row past the halo: the first batches'
+                // spans still lie inside the padded input, yet every
+                // work-item must fail before storing anything.
+                let mut scalars = scalars.to_vec();
+                scalars.push(Value::Int(halo as i32 + 1));
+                assert_tiers_agree_after_errors(
+                    GENERATED_STENCIL_SRC,
+                    "SKELCL_MAP_OVERLAP",
+                    &buffers,
+                    &scalars,
+                    n,
+                );
+            }
+        }
+    }
 }
 
 /// Cross-lane hazard: each item writes its own element then reads its
@@ -291,6 +475,99 @@ fn cross_lane_hazards_roll_back_and_replay_exactly() {
     let n = 2 * skelcl_kernel::vm::BATCH_LANES + 3;
     let data: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
     assert_tiers_agree(src, "k", &[data], &[Value::Int(n as i32)], n);
+}
+
+/// A two-buffer kernel whose body `body` runs once per work-item `gid` of a
+/// multi-batch launch over `v` (input) and `o` (output, two elements longer),
+/// asserting that every tier agrees with the oracle (on the buffers a failed
+/// launch leaves behind too) and that the native tier
+/// replayed at least one batch instead of completing it in lockstep.
+fn assert_hazard_replays_exactly(body: &str) {
+    let src = format!(
+        "__kernel void k(__global float* v, __global float* o, int n) {{\n\
+             int gid = get_global_id(0);\n\
+             {body}\n\
+         }}\n"
+    );
+    let n = 2 * skelcl_kernel::vm::BATCH_LANES + 5;
+    let v: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
+    let o: Vec<f32> = (0..n + 2).map(|i| (i % 7) as f32 * 0.5).collect();
+    let buffers = [v, o];
+    let scalars = [Value::Int(n as i32)];
+    assert_tiers_agree_after_errors(&src, "k", &buffers, &scalars, n);
+    if let Ok(trace) = native_trace(&src, "k", &buffers, &scalars, n) {
+        assert!(
+            trace.replayed_batches >= 1,
+            "the native tier must bail on:\n{src}\ntrace: {trace:?}"
+        );
+    }
+}
+
+/// A shifted store (`a0 + lane`, not the own index) followed by a load of
+/// the same buffer: lane ℓ + 1 must read what lane ℓ stored.
+#[test]
+fn shifted_store_then_load_of_the_slot_replays() {
+    assert_hazard_replays_exactly("o[gid + 1] = v[gid] * 2.0f; v[gid] = o[gid] + 1.0f;");
+}
+
+/// A load followed by a shifted store to the same buffer: lane ℓ + 1 must
+/// load the value lane ℓ stored, not the old one.
+#[test]
+fn load_then_shifted_store_of_the_slot_replays() {
+    assert_hazard_replays_exactly("float x = o[gid]; o[gid + 1] = x + v[gid];");
+}
+
+/// Two shifted stores that overlap across lanes: sequential order leaves the
+/// later lane's first store in `o[gid + 2]`, lockstep order would not.
+#[test]
+fn overlapping_shifted_stores_replay() {
+    assert_hazard_replays_exactly("o[gid + 1] = v[gid]; o[gid + 2] = v[gid] * 3.0f;");
+}
+
+/// An own-index store after a shifted store to the same buffer. The shift
+/// is `+1` in the first batch (sequential and lockstep order agree, so it
+/// completes natively) and negative afterwards, where lane ℓ's shifted store
+/// lands on an element an earlier lane already stored to its own index.
+#[test]
+fn own_store_after_downward_shifted_store_replays() {
+    assert_hazard_replays_exactly(
+        "int s = 1 - 2 * (gid / 64); o[gid + s] = v[gid]; o[gid] = v[gid] + 1.0f;",
+    );
+}
+
+/// A strided store is neither own-index nor contiguous.
+#[test]
+fn strided_foreign_store_replays() {
+    assert_hazard_replays_exactly("if (2 * gid < n) { o[2 * gid] = v[gid]; }");
+}
+
+/// A shifted store running past the end of its buffer reports the oracle's
+/// out-of-bounds error after rolling the batch back.
+#[test]
+fn out_of_bounds_shifted_store_replays_the_error() {
+    assert_hazard_replays_exactly("o[gid + 3] = v[gid];");
+}
+
+/// A kernel whose first batch bails finishes the launch on the VM, so the
+/// launch counts as batched and reports the replayed batch.
+#[test]
+fn fully_replayed_native_launches_report_the_batched_tier() {
+    let src = "__kernel void k(__global float* v, __global float* o, int n) {\n\
+                   int gid = get_global_id(0);\n\
+                   o[2 * gid] = v[gid];\n\
+               }\n";
+    let n = 2 * skelcl_kernel::vm::BATCH_LANES;
+    let trace = native_trace(
+        src,
+        "k",
+        &[vec![1.0; n], vec![0.0; 2 * n]],
+        &[Value::Int(n as i32)],
+        n,
+    )
+    .expect("launch succeeds");
+    assert_eq!(trace.tier, Tier::Batched);
+    assert_eq!(trace.native_batches, 0);
+    assert_eq!(trace.replayed_batches, 1);
 }
 
 /// Compound assignment and increment quirks: in-place forms (`x = x op y`)

@@ -180,13 +180,15 @@ struct TierCounters {
     scalar: AtomicUsize,
     batched: AtomicUsize,
     native: AtomicUsize,
+    native_replayed: AtomicUsize,
     compiles: AtomicUsize,
     compile_ns: AtomicU64,
 }
 
 /// Snapshot of one device's kernel-tier telemetry (see
 /// [`Device::kernel_tiers`]). Native launches that fall back to the batched
-/// VM because the kernel is ineligible count as batched launches.
+/// VM, because the kernel is ineligible or because no batch completed
+/// natively, count as batched launches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
     /// DSL launches executed by the AST interpreter.
@@ -197,6 +199,9 @@ pub struct TierSnapshot {
     pub batched_launches: usize,
     /// DSL launches executed by the closure-compiled native tier.
     pub native_launches: usize,
+    /// Lane batches the native tier aborted and replayed on the scalar VM
+    /// (hazards, divergence or runtime errors), over all native attempts.
+    pub native_replayed_batches: usize,
     /// Kernels compiled to the native tier on this device.
     pub native_compiles: usize,
     /// Total wall-clock nanoseconds spent in native-tier compilation.
@@ -358,6 +363,9 @@ impl Device {
             Tier::Native | Tier::Auto => &self.tiers.native,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        self.tiers
+            .native_replayed
+            .fetch_add(trace.replayed_batches as usize, Ordering::Relaxed);
         if trace.native_compiled {
             self.tiers.compiles.fetch_add(1, Ordering::Relaxed);
             self.tiers
@@ -373,6 +381,7 @@ impl Device {
             scalar_launches: self.tiers.scalar.load(Ordering::Relaxed),
             batched_launches: self.tiers.batched.load(Ordering::Relaxed),
             native_launches: self.tiers.native.load(Ordering::Relaxed),
+            native_replayed_batches: self.tiers.native_replayed.load(Ordering::Relaxed),
             native_compiles: self.tiers.compiles.load(Ordering::Relaxed),
             native_compile_ns: self.tiers.compile_ns.load(Ordering::Relaxed),
         }
