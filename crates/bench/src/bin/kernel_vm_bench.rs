@@ -1,4 +1,4 @@
-//! Kernel-engine throughput benchmark: AST interpreter vs batched bytecode
+//! Kernel-engine throughput benchmark: AST interpreter vs scalar bytecode
 //! VM vs the closure-compiled native tier.
 //!
 //! Runs the generated skeleton kernel shapes (map, zip, reduce, scan over
@@ -26,7 +26,7 @@ use skelcl_kernel::{Program, Tier};
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
     Interp,
-    Batched,
+    Scalar,
     Native,
 }
 
@@ -210,7 +210,7 @@ fn time_engine(w: &Workload, n: usize, reps: usize, engine: Engine) -> f64 {
         let start = Instant::now();
         let stats = match engine {
             Engine::Interp => program.run_ndrange_measured_interp(&kernel, items, &mut args),
-            Engine::Batched => program.run_ndrange_measured_batched(&kernel, items, &mut args),
+            Engine::Scalar => program.run_ndrange_measured_scalar(&kernel, items, &mut args),
             Engine::Native => {
                 program
                     .run_ndrange_traced(&kernel, items, &mut args)
@@ -249,7 +249,7 @@ fn main() {
     for w in WORKLOADS {
         let elems = (w.elements)(n) as f64;
         let t_interp = time_engine(w, n, reps.min(2), Engine::Interp);
-        let t_vm = time_engine(w, n, reps, Engine::Batched);
+        let t_vm = time_engine(w, n, reps, Engine::Scalar);
         let t_native = time_engine(w, n, reps, Engine::Native);
         let interp_eps = elems / t_interp;
         let vm_eps = elems / t_vm;

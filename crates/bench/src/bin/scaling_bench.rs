@@ -4,8 +4,8 @@
 //! launches execute concurrently in *real* time (previously only the virtual
 //! clocks overlapped). This harness measures end-to-end wall-clock
 //! elements/sec for 1–4 devices over three workloads — a four-stage map
-//! chain, a reduction, and an iterative heat-diffusion stencil — plus the
-//! lane-batched vs scalar VM column, and emits `BENCH_scaling.json`.
+//! chain, a reduction, and an iterative heat-diffusion stencil — and emits
+//! `BENCH_scaling.json`.
 //!
 //! Both wall-clock and virtual-time figures are reported. Virtual time is
 //! the simulator's device model (near-linear by construction); wall-clock
@@ -22,8 +22,6 @@
 use std::time::Instant;
 
 use skelcl::prelude::*;
-use skelcl_kernel::interp::ArgBinding;
-use skelcl_kernel::value::Value;
 
 /// One measured configuration.
 struct Row {
@@ -66,48 +64,6 @@ fn measure(
         }
     }
     best
-}
-
-/// The lane-batched vs scalar VM comparison on the generated map kernel —
-/// the single-device engine-throughput column of the report.
-fn vm_batched_vs_scalar(n: usize, reps: usize) -> (f64, f64) {
-    const MAP_SRC: &str = r#"
-        float func(float x) { return x * x * x - 2.0f * x + 1.0f; }
-        __kernel void SKELCL_MAP(__global float* skelcl_in, __global float* skelcl_out, int skelcl_n) {
-            int skelcl_gid = get_global_id(0);
-            if (skelcl_gid < skelcl_n) {
-                skelcl_out[skelcl_gid] = func(skelcl_in[skelcl_gid]);
-            }
-        }
-    "#;
-    let program = skelcl_kernel::Program::build(MAP_SRC).expect("bench kernel builds");
-    let kernel = program.kernel("SKELCL_MAP").expect("kernel exists");
-    let time = |batched: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut input = seeded(n, 5);
-            let mut out = vec![0.0f32; n];
-            let mut args = vec![
-                ArgBinding::buffer_f32(&mut input),
-                ArgBinding::buffer_f32(&mut out),
-                ArgBinding::Scalar(Value::Int(n as i32)),
-            ];
-            let start = Instant::now();
-            let stats = if batched {
-                program.run_ndrange_measured(&kernel, n, &mut args)
-            } else {
-                program.run_ndrange_measured_scalar(&kernel, n, &mut args)
-            }
-            .expect("bench kernel runs");
-            let elapsed = start.elapsed().as_secs_f64();
-            std::hint::black_box(stats);
-            best = best.min(elapsed);
-        }
-        best
-    };
-    let scalar = n as f64 / time(false);
-    let batched = n as f64 / time(true);
-    (scalar, batched)
 }
 
 fn main() {
@@ -188,8 +144,6 @@ fn main() {
         });
     }
 
-    let (vm_scalar_eps, vm_batched_eps) = vm_batched_vs_scalar(map_n, reps);
-
     println!("host_cpus = {host_cpus}");
     for w in ["map_chain", "reduce", "heat_diffusion"] {
         let base = rows
@@ -208,10 +162,6 @@ fn main() {
             );
         }
     }
-    println!(
-        "vm (map, n={map_n})  scalar {vm_scalar_eps:>12.0} elem/s  batched {vm_batched_eps:>12.0} elem/s  ({:.2}x)",
-        vm_batched_eps / vm_scalar_eps
-    );
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -244,14 +194,8 @@ fn main() {
                 r.virt_eps / base.virt_eps,
             ));
         }
-        // `vm_map` always follows, so every workload object takes a comma.
-        let _ = wi;
-        json.push_str("    },\n");
+        json.push_str(if wi < 2 { "    },\n" } else { "    }\n" });
     }
-    json.push_str(&format!(
-        "    \"vm_map\": {{ \"scalar_eps\": {vm_scalar_eps:.0}, \"batched_eps\": {vm_batched_eps:.0}, \"batched_speedup\": {:.2} }}\n",
-        vm_batched_eps / vm_scalar_eps
-    ));
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");

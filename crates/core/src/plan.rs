@@ -56,8 +56,8 @@ use crate::matrix::Matrix;
 use crate::runtime::SkelCl;
 use crate::scheduler::PerfModel;
 use crate::skeletons::{
-    host_eval_operator, wait_kernel_events, DeviceScalar, LaunchConfig, Map, MapOverlap, Reduce,
-    Scan, Skeleton, Zip,
+    wait_kernel_events, DeviceScalar, HostFold, LaunchConfig, Map, MapOverlap, Reduce, Scan,
+    Skeleton, Zip,
 };
 use crate::vector::Vector;
 
@@ -174,10 +174,20 @@ pub(crate) enum PlanNode {
     },
     /// A stencil stage (matrix plans only); never fused across.
     MapOverlap { input: usize, halo: usize },
-    /// A full reduction to one scalar.
-    Reduce { input: usize, udf: Arc<UdfInfo> },
-    /// An inclusive prefix scan.
-    Scan { input: usize, udf: Arc<UdfInfo> },
+    /// A full reduction to one scalar; `fold` combines the per-device
+    /// partials on the host.
+    Reduce {
+        input: usize,
+        udf: Arc<UdfInfo>,
+        fold: Arc<HostFold>,
+    },
+    /// An inclusive prefix scan; `fold` combines the per-part totals on the
+    /// host.
+    Scan {
+        input: usize,
+        udf: Arc<UdfInfo>,
+        fold: Arc<HostFold>,
+    },
 }
 
 /// The chain-input link of a node (`None` for sources).
@@ -342,9 +352,9 @@ struct LoweredGroup {
     spec: FusedSpec,
     /// The hygienically renamed reduce/scan operator, if the group has one.
     op: Option<HygienicStage>,
-    /// The operator's *original* source, for the host-side combine (the same
-    /// [`host_eval_operator`] path the eager skeletons use).
-    op_source: Option<String>,
+    /// The operator's host fold, for the host-side combine (the same
+    /// [`HostFold`] the eager skeletons use).
+    fold: Option<Arc<HostFold>>,
     /// Buffer provenance per fused-kernel input slot (slot 0 is the chain).
     inputs: Vec<ChainInput>,
     /// Additional scalar arguments, in stage order (matching the generated
@@ -368,7 +378,7 @@ fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
     let mut extra_args: Vec<KernelArg> = Vec::new();
     let mut collisions: Vec<String> = Vec::new();
     let mut op = None;
-    let mut op_source = None;
+    let mut fold = None;
     let mut out_ty = chain_in_ty;
     let push_args = |args: &Args, extra_args: &mut Vec<KernelArg>| {
         for item in args.items() {
@@ -404,11 +414,11 @@ fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
                 push_args(args, &mut extra_args);
                 out_ty = udf.return_type;
             }
-            PlanNode::Reduce { udf, .. } | PlanNode::Scan { udf, .. } => {
+            PlanNode::Reduce { udf, fold: f, .. } | PlanNode::Scan { udf, fold: f, .. } => {
                 let stage = hygiene.admit(k, udf)?;
                 collisions.extend(stage.collisions.iter().cloned());
                 op = Some(stage);
-                op_source = Some(udf.source.clone());
+                fold = Some(f.clone());
                 out_ty = udf.return_type;
             }
             PlanNode::Source { .. } | PlanNode::MapOverlap { .. } => {
@@ -424,7 +434,7 @@ fn lower_group(nodes: &[PlanNode], group: &Group) -> Result<LoweredGroup> {
             expr,
         },
         op,
-        op_source,
+        fold,
         inputs,
         extra_args,
         collisions,
@@ -619,10 +629,7 @@ impl PlanGraph {
         chain: &ExecChain,
     ) -> Result<Value> {
         let op = lowered.op.as_ref().expect("reduce group has an operator");
-        let op_source = lowered
-            .op_source
-            .as_ref()
-            .expect("reduce group has an operator source");
+        let fold = lowered.fold.as_ref().expect("reduce group has a host fold");
         let src = lowered.spec.reduce_kernel(op);
         let program = self.runtime.context().build_program(&src)?;
         let kernel = program.kernel(FUSED_REDUCE_KERNEL)?;
@@ -658,11 +665,7 @@ impl PlanGraph {
                 partials.push(one[0]);
                 self.runtime.context().release_buffer(buffer)?;
             }
-            let mut acc = partials[0];
-            for &v in &partials[1..] {
-                acc = host_eval_operator::<T>(op_source, acc, v);
-            }
-            Ok(ExecOutcome::Scalar(acc.to_value()))
+            Ok(ExecOutcome::Scalar(fold.fold(&partials)?.to_value()))
         })
         .map(|outcome| match outcome {
             ExecOutcome::Scalar(v) => v,
@@ -682,10 +685,7 @@ impl PlanGraph {
         chain: &ExecChain,
     ) -> Result<Vec<Option<Buffer>>> {
         let op = lowered.op.as_ref().expect("scan group has an operator");
-        let op_source = lowered
-            .op_source
-            .as_ref()
-            .expect("scan group has an operator source");
+        let fold = lowered.fold.as_ref().expect("scan group has a host fold");
         let src = lowered.spec.scan_kernels(op);
         let program = self.runtime.context().build_program(&src)?;
         let scan_kernel = program.kernel(FUSED_SCAN_KERNEL)?;
@@ -732,7 +732,7 @@ impl PlanGraph {
                 let offset = running;
                 running = Some(match running {
                     None => totals[i],
-                    Some(acc) => host_eval_operator::<T>(op_source, acc, totals[i]),
+                    Some(acc) => fold.fold(&[acc, totals[i]])?,
                 });
                 if i == 0 {
                     continue;
@@ -907,10 +907,10 @@ impl PlanGraph {
                 PlanNode::MapOverlap { input, halo } => {
                     format!("map_overlap(%{input}, halo {halo}) -> float")
                 }
-                PlanNode::Reduce { input, udf } => {
+                PlanNode::Reduce { input, udf, .. } => {
                     format!("reduce(%{input}) -> {}", udf.return_type)
                 }
-                PlanNode::Scan { input, udf } => {
+                PlanNode::Scan { input, udf, .. } => {
                     format!("scan(%{input}) -> {}", udf.return_type)
                 }
             };
@@ -1173,9 +1173,13 @@ impl<T: Pod> PlanVec<T> {
     {
         let tip = self.tip;
         let tip = self.graph.admit(tip, |g| {
-            let udf = skeleton.plan_udf()?;
+            let (udf, fold) = skeleton.plan_udf()?;
             g.check_chain(tip, &udf, "reduce")?;
-            Ok(PlanNode::Reduce { input: tip, udf })
+            Ok(PlanNode::Reduce {
+                input: tip,
+                udf,
+                fold,
+            })
         });
         PlanScalar {
             graph: self.graph,
@@ -1191,9 +1195,13 @@ impl<T: Pod> PlanVec<T> {
     {
         let tip = self.tip;
         let tip = self.graph.admit(tip, |g| {
-            let udf = skeleton.plan_udf()?;
+            let (udf, fold) = skeleton.plan_udf()?;
             g.check_chain(tip, &udf, "scan")?;
-            Ok(PlanNode::Scan { input: tip, udf })
+            Ok(PlanNode::Scan {
+                input: tip,
+                udf,
+                fold,
+            })
         });
         PlanVec {
             graph: self.graph,

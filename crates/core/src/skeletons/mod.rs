@@ -18,6 +18,7 @@
 //! a [`crate::matrix::Matrix`] with no container-specific code.
 
 pub(crate) mod exec;
+mod host_fold;
 mod map;
 mod map_overlap;
 mod reduce;
@@ -32,7 +33,7 @@ pub use scan::{Scan, ScanTrace};
 pub use zip::Zip;
 
 pub(crate) use exec::{check_source_call, sequential_cost, wait_kernel_events, PreparedCall};
-pub(crate) use scan::host_eval_operator;
+pub(crate) use host_fold::HostFold;
 
 use std::sync::Arc;
 
@@ -184,13 +185,13 @@ pub(crate) fn alloc_output<T: Pod>(
 
 /// Per-skeleton-instance cache of the artefacts derived from a source UDF:
 /// the analysed signature ([`UdfInfo`], shared by every generated kernel
-/// variant of the skeleton) and the scheduler cost estimate. Both used to be
-/// recomputed — re-lexing and re-parsing the UDF source — on every
-/// scheduler-weighted launch and once per kernel variant; now each is
-/// computed at most once per skeleton instance.
+/// variant of the skeleton), the scheduler cost estimate and, for binary
+/// operators, the [`HostFold`]. Each is computed at most once per skeleton
+/// instance instead of re-lexing and re-parsing the UDF source per launch.
 pub(crate) struct UdfCache {
     info: parking_lot::Mutex<Option<Arc<crate::kernelgen::UdfInfo>>>,
     cost: parking_lot::Mutex<Option<CostHint>>,
+    fold: parking_lot::Mutex<Option<Arc<HostFold>>>,
 }
 
 impl UdfCache {
@@ -198,7 +199,20 @@ impl UdfCache {
         UdfCache {
             info: parking_lot::Mutex::new(None),
             cost: parking_lot::Mutex::new(None),
+            fold: parking_lot::Mutex::new(None),
         }
+    }
+
+    /// The host fold of a binary-operator UDF (reduce and scan), built once.
+    pub(crate) fn host_fold(&self, source: &str) -> Result<Arc<HostFold>> {
+        let mut slot = self.fold.lock();
+        if let Some(fold) = slot.as_ref() {
+            return Ok(fold.clone());
+        }
+        let info = self.info(source, 2)?;
+        let fold = Arc::new(HostFold::new(&info)?);
+        *slot = Some(fold.clone());
+        Ok(fold)
     }
 
     /// The analysed UDF signature; `source` and `main_inputs` are fixed per

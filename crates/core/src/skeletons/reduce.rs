@@ -24,7 +24,7 @@ use crate::distribution::Distribution;
 use crate::error::{Result, SkelError};
 use crate::kernelgen;
 use crate::skeletons::{
-    sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton, UdfCache,
+    sequential_cost, DeviceScalar, HostFold, Launch, LaunchConfig, PreparedCall, Skeleton, UdfCache,
 };
 use crate::vector::Vector;
 
@@ -35,9 +35,6 @@ enum ReduceUdf<T> {
 
 struct BuiltSource {
     kernel: oclsim::Kernel,
-    /// A host-side copy of the generated program, used for step 3 (the final
-    /// reduction of the per-device partial results on the CPU).
-    host_program: skelcl_kernel::Program,
     per_element_cost: CostHint,
 }
 
@@ -116,14 +113,15 @@ impl<T: DeviceScalar> Reduce<T> {
         Launch::new(self, input.clone())
     }
 
-    /// The analysed binary-operator UDF for use in a lazy plan. Native
-    /// closures have no source to fuse, so they cannot participate in plans.
-    pub(crate) fn plan_udf(&self) -> Result<Arc<kernelgen::UdfInfo>> {
+    /// The analysed binary-operator UDF and its host fold, for use in a lazy
+    /// plan. Native closures have no source to fuse, so they cannot
+    /// participate in plans.
+    pub(crate) fn plan_udf(&self) -> Result<(Arc<kernelgen::UdfInfo>, Arc<HostFold>)> {
         match &self.udf {
             ReduceUdf::Source(src) => {
                 let info = self.cache.info(src, 2)?;
                 kernelgen::check_binary_op(&info, "reduce")?;
-                Ok(info)
+                Ok((info, self.cache.host_fold(src)?))
             }
             ReduceUdf::Native(_) => Err(SkelError::Plan(
                 "reduce stage uses a native Rust closure; lazy plans require source UDFs".into(),
@@ -143,10 +141,8 @@ impl<T: DeviceScalar> Reduce<T> {
         let kernel_src = kernelgen::reduce_kernel(&info)?;
         let program = runtime.context().build_program(&kernel_src)?;
         let kernel = program.kernel(kernelgen::REDUCE_KERNEL)?;
-        let host_program = skelcl_kernel::Program::build(&kernel_src)?;
         let b = Arc::new(BuiltSource {
             kernel,
-            host_program,
             per_element_cost: self.cache.cost(src)?,
         });
         *built = Some(b.clone());
@@ -243,81 +239,14 @@ impl<T: DeviceScalar> Reduce<T> {
     }
 
     /// Apply the binary operator on the host (step 3 of the multi-GPU
-    /// strategy): for source operators, the generated reduce kernel is run by
-    /// the host-side interpreter over the gathered partial results.
-    fn host_fold(&self, built: Option<&BuiltSource>, values: &[T]) -> Result<T> {
-        debug_assert!(!values.is_empty());
+    /// strategy), folding the gathered partial results left to right.
+    fn host_fold(&self, values: &[T]) -> Result<T> {
         match &self.udf {
             ReduceUdf::Native(f) => {
-                let mut acc = values[0];
-                for v in &values[1..] {
-                    acc = f(acc, *v);
-                }
-                Ok(acc)
+                let (first, rest) = values.split_first().ok_or(SkelError::EmptyInput)?;
+                Ok(rest.iter().fold(*first, |acc, v| f(acc, *v)))
             }
-            ReduceUdf::Source(_) => {
-                let built = built.expect("source reduce always builds its program");
-                let kernel = built.host_program.kernel(kernelgen::REDUCE_KERNEL)?;
-                // Bind the gathered values and a one-element output through
-                // the host interpreter. Values are converted through f64,
-                // which is exact for every supported scalar type.
-                let mut input: Vec<f64> = values.iter().map(|v| v.to_value().as_f64()).collect();
-                let mut output = vec![0.0f64; 1];
-                // The generated kernel's buffers are typed with T's kernel
-                // type; run a specialised binding per type.
-                match T::type_name() {
-                    "float" => {
-                        let mut in_f: Vec<f32> = input.iter().map(|v| *v as f32).collect();
-                        let mut out_f = vec![0.0f32; 1];
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_f32(&mut in_f),
-                            skelcl_kernel::interp::ArgBinding::buffer_f32(&mut out_f),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                        return Ok(T::from_value(Value::Float(out_f[0])));
-                    }
-                    "int" => {
-                        let mut in_i: Vec<i32> = input.iter().map(|v| *v as i32).collect();
-                        let mut out_i = vec![0i32; 1];
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_i32(&mut in_i),
-                            skelcl_kernel::interp::ArgBinding::buffer_i32(&mut out_i),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                        return Ok(T::from_value(Value::Int(out_i[0])));
-                    }
-                    "uint" => {
-                        let mut in_u: Vec<u32> = input.iter().map(|v| *v as u32).collect();
-                        let mut out_u = vec![0u32; 1];
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_u32(&mut in_u),
-                            skelcl_kernel::interp::ArgBinding::buffer_u32(&mut out_u),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                        return Ok(T::from_value(Value::Uint(out_u[0])));
-                    }
-                    _ => {
-                        let mut args = vec![
-                            skelcl_kernel::interp::ArgBinding::buffer_f64(&mut input),
-                            skelcl_kernel::interp::ArgBinding::buffer_f64(&mut output),
-                            skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(
-                                values.len() as i32
-                            )),
-                        ];
-                        built.host_program.run_ndrange(&kernel, 1, &mut args)?;
-                    }
-                }
-                Ok(T::from_value(Value::Double(output[0])))
-            }
+            ReduceUdf::Source(src) => self.cache.host_fold(src)?.fold(values),
         }
     }
 
@@ -349,19 +278,14 @@ impl<T: DeviceScalar> Reduce<T> {
             ));
         }
 
-        let (kernel, built, per_element_cost) = match &self.udf {
+        let (kernel, per_element_cost) = match &self.udf {
             ReduceUdf::Source(_) => {
                 let built = self.ensure_built(&call.runtime)?;
-                (
-                    built.kernel.clone(),
-                    Some(built.clone()),
-                    built.per_element_cost,
-                )
+                (built.kernel.clone(), built.per_element_cost)
             }
             ReduceUdf::Native(_) => (
                 self.native_kernel()
                     .expect("native kernel construction cannot fail"),
-                None,
                 self.cost,
             ),
         };
@@ -399,7 +323,7 @@ impl<T: DeviceScalar> Reduce<T> {
         }
 
         // Step 3: final reduction on the CPU.
-        self.host_fold(built.as_deref(), &partials)
+        self.host_fold(&partials)
     }
 
     /// The scheduler-aware multi-stage reduction of Section V of the paper.
@@ -505,7 +429,7 @@ impl<T: DeviceScalar> Reduce<T> {
             final_on_cpu,
         };
         if final_on_cpu || partials.len() == 1 {
-            return Ok((self.host_fold(built.as_deref(), &partials)?, plan));
+            return Ok((self.host_fold(&partials)?, plan));
         }
 
         // Final reduction on the chosen device: upload the gathered

@@ -21,7 +21,7 @@ use crate::container::Container;
 use crate::error::{Result, SkelError};
 use crate::kernelgen::{self, UdfInfo};
 use crate::skeletons::{
-    sequential_cost, DeviceScalar, Launch, LaunchConfig, PreparedCall, Skeleton, UdfCache,
+    sequential_cost, DeviceScalar, HostFold, Launch, LaunchConfig, PreparedCall, Skeleton, UdfCache,
 };
 use crate::vector::Vector;
 
@@ -112,14 +112,15 @@ impl<T: DeviceScalar> Scan<T> {
         }
     }
 
-    /// The analysed binary-operator UDF for use in a lazy plan. Native
-    /// closures have no source to fuse, so they cannot participate in plans.
-    pub(crate) fn plan_udf(&self) -> Result<Arc<UdfInfo>> {
+    /// The analysed binary-operator UDF and its host fold, for use in a lazy
+    /// plan. Native closures have no source to fuse, so they cannot
+    /// participate in plans.
+    pub(crate) fn plan_udf(&self) -> Result<(Arc<UdfInfo>, Arc<HostFold>)> {
         match &self.udf {
             ScanUdf::Source(src) => {
                 let info = self.cache.info(src, 2)?;
                 kernelgen::check_binary_op(&info, "scan")?;
-                Ok(info)
+                Ok((info, self.cache.host_fold(src)?))
             }
             ScanUdf::Native(_) => Err(SkelError::Plan(
                 "scan stage uses a native Rust closure; lazy plans require source UDFs".into(),
@@ -200,20 +201,11 @@ impl<T: DeviceScalar> Scan<T> {
             .ok()
     }
 
-    fn host_combine(&self, built: Option<&BuiltSource>, a: T, b: T) -> T {
+    /// `a ⊕ b` on the host, for combining the per-part totals into offsets.
+    fn host_combine(&self, a: T, b: T) -> Result<T> {
         match &self.udf {
-            ScanUdf::Native(f) => f(a, b),
-            ScanUdf::Source(_) => {
-                // The offsets are combined on the host by evaluating the
-                // user operator through the same generated kernel used on the
-                // devices, over a two-element array.
-                let _ = built;
-                let src = match &self.udf {
-                    ScanUdf::Source(s) => s.clone(),
-                    ScanUdf::Native(_) => unreachable!(),
-                };
-                host_eval_operator::<T>(&src, a, b)
-            }
+            ScanUdf::Native(f) => Ok(f(a, b)),
+            ScanUdf::Source(src) => self.cache.host_fold(src)?.fold(&[a, b]),
         }
     }
 
@@ -313,7 +305,7 @@ impl<T: DeviceScalar> Scan<T> {
             }
             running = Some(match running {
                 None => totals[i],
-                Some(acc) => self.host_combine(built.as_deref(), acc, totals[i]),
+                Some(acc) => self.host_combine(acc, totals[i])?,
             });
             if i == 0 {
                 continue;
@@ -413,71 +405,6 @@ impl<T: DeviceScalar> Launch<'_, Scan<T>, Vector<T>> {
         self.skeleton
             .execute_scan(&self.input, &self.cfg, false, Some(out))?;
         Ok(())
-    }
-}
-
-/// Evaluate a binary source operator on the host over two values by running
-/// the generated scan kernel on a two-element array.
-pub(crate) fn host_eval_operator<T: DeviceScalar>(source: &str, a: T, b: T) -> T {
-    let info = UdfInfo::analyze(source, 2).expect("operator was validated at build time");
-    let kernel_src = kernelgen::scan_kernels(&info).expect("operator was validated at build time");
-    let program = skelcl_kernel::Program::build(&kernel_src).expect("generated source is valid");
-    let kernel = program
-        .kernel(kernelgen::SCAN_KERNEL)
-        .expect("generated program contains the scan kernel");
-    match T::type_name() {
-        "float" => {
-            let mut input = vec![a.to_value().as_f64() as f32, b.to_value().as_f64() as f32];
-            let mut output = vec![0.0f32; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_f32(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_f32(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Float(output[1]))
-        }
-        "int" => {
-            let mut input = vec![a.to_value().as_i64() as i32, b.to_value().as_i64() as i32];
-            let mut output = vec![0i32; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_i32(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_i32(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Int(output[1]))
-        }
-        "uint" => {
-            let mut input = vec![a.to_value().as_i64() as u32, b.to_value().as_i64() as u32];
-            let mut output = vec![0u32; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_u32(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_u32(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Uint(output[1]))
-        }
-        _ => {
-            let mut input = vec![a.to_value().as_f64(), b.to_value().as_f64()];
-            let mut output = vec![0.0f64; 2];
-            let mut args = vec![
-                skelcl_kernel::interp::ArgBinding::buffer_f64(&mut input),
-                skelcl_kernel::interp::ArgBinding::buffer_f64(&mut output),
-                skelcl_kernel::interp::ArgBinding::Scalar(Value::Int(2)),
-            ];
-            program
-                .run_ndrange(&kernel, 1, &mut args)
-                .expect("host evaluation of the operator");
-            T::from_value(Value::Double(output[1]))
-        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! End-to-end checks of the kernel-tier plumbing: `SkelCl::set_kernel_tier`
 //! reaches already-cached programs, per-device tier counters surface in
-//! `ExecTrace`, results are identical across tiers, and `Plan::explain`
-//! renders the tier decision.
+//! `ExecTrace`, results are identical across tiers, `Tier::Auto` picks the
+//! engine by launch size, and `Plan::explain` renders the tier decision.
 
 use skelcl::prelude::*;
-use skelcl::skeletons::Map;
+use skelcl::skeletons::{Map, Reduce, Zip};
 use skelcl::vector::Vector;
 use skelcl::Tier;
 
@@ -21,11 +21,11 @@ fn run_map(rt: &std::sync::Arc<skelcl::SkelCl>, n: usize) -> Vec<f32> {
 fn forced_native_tier_is_counted_and_bit_identical() {
     let rt = skelcl::init_gpus(1);
 
-    // First launch under the default (auto) tier: 100 items is below every
-    // graduation threshold, so it stays on the batched VM.
+    // First launch pinned to the scalar VM.
+    rt.set_kernel_tier(Tier::Scalar);
     let baseline = run_map(&rt, 100);
     let t = rt.exec_trace();
-    assert_eq!(t.batched_launches(), 1, "small cold launch uses the VM");
+    assert_eq!(t.scalar_launches(), 1, "pinned launch uses the scalar VM");
     assert_eq!(t.native_launches(), 0);
     assert_eq!(t.native_compiles(), 0);
 
@@ -36,7 +36,7 @@ fn forced_native_tier_is_counted_and_bit_identical() {
     assert_eq!(
         baseline.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         native.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "native tier must be bit-identical to the batched VM"
+        "native tier must be bit-identical to the scalar VM"
     );
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "pinned launch runs natively");
@@ -57,19 +57,41 @@ fn forced_native_tier_is_counted_and_bit_identical() {
 #[test]
 fn auto_tier_graduates_large_launches() {
     let rt = skelcl::init_gpus(1);
-    // 10_000 items on one device is past AUTO_SIZE_IMMEDIATE (8192): the
-    // very first launch graduates to the native tier.
+    // A multi-item launch runs on the native tier from the very first
+    // launch of the kernel.
     run_map(&rt, 10_000);
     let t = rt.exec_trace();
     assert_eq!(t.native_launches(), 1, "large launch graduates immediately");
-    assert_eq!(t.batched_launches(), 0);
+    assert_eq!(t.scalar_launches(), 0);
     assert_eq!(t.native_compiles(), 1);
+}
+
+#[test]
+fn fused_dot_plan_runs_its_one_item_launches_on_the_scalar_vm() {
+    // The fused zip+reduce kernel is one sequential fold per device: four
+    // one-item launches, which Tier::Auto keeps on the scalar VM.
+    let rt = skelcl::init_gpus(4);
+    rt.set_kernel_tier(Tier::Auto);
+    let mult = Zip::<f32, f32, f32>::from_source("float func(float x, float y) { return x * y; }");
+    let sum = Reduce::<f32>::from_source("float func(float a, float b) { return a + b; }");
+    let x = Vector::from_vec(&rt, (0..1000).map(|i| (i % 7) as f32).collect());
+    let y = Vector::from_vec(&rt, (0..1000).map(|i| (i % 5) as f32 * 0.5).collect());
+    let dot = x.lazy().zip(&y, &mult).reduce(&sum).scalar().unwrap();
+    let expected: f32 = (0..1000)
+        .map(|i| (i % 7) as f32 * ((i % 5) as f32 * 0.5))
+        .sum();
+    assert_eq!(dot, expected);
+    let t = rt.exec_trace();
+    assert_eq!(t.scalar_launches(), 4, "one fold launch per device");
+    assert_eq!(t.batched_launches(), 0);
+    assert_eq!(t.native_launches(), 0);
+    assert_eq!(t.native_compiles(), 0);
 }
 
 #[test]
 fn map_overlap_sweeps_run_natively_without_replays() {
     // 4 devices × 32 rows × 256 columns: every device launch covers 8192
-    // items, so each one graduates to the native tier under Tier::Auto.
+    // items, so each one runs natively under Tier::Auto.
     let rt = skelcl::init_gpus(4);
     rt.set_kernel_tier(Tier::Auto);
     let heat = MapOverlap::<f32, f32>::from_source(
@@ -81,8 +103,7 @@ fn map_overlap_sweeps_run_natively_without_replays() {
     let m = Matrix::from_vec(&rt, 128, 256, data).unwrap();
     heat.run(&m).run_iter(3).unwrap();
     let t = rt.exec_trace();
-    let total =
-        t.interp_launches() + t.scalar_launches() + t.batched_launches() + t.native_launches();
+    let total = t.interp_launches() + t.scalar_launches() + t.native_launches();
     assert_eq!(total, 12, "one launch per device and sweep");
     assert_eq!(
         t.native_launches(),
@@ -103,11 +124,11 @@ fn interp_tier_pin_and_per_device_counters() {
     run_map(&rt, 64);
     let t = rt.exec_trace();
     assert_eq!(t.interp_launches(), 2, "one launch per device");
-    assert_eq!(t.native_launches() + t.batched_launches(), 0);
+    assert_eq!(t.native_launches() + t.scalar_launches(), 0);
+    assert_eq!(t.native_compiles(), 0);
     assert_eq!(t.devices.len(), 2);
     for d in &t.devices {
         assert_eq!(d.interp_launches, 1);
-        assert_eq!(d.native_compiles, 0);
     }
 }
 
@@ -120,9 +141,12 @@ fn explain_renders_tier_decision() {
     let text = plan.explain().unwrap();
     assert!(
         text.contains("Kernel tier: auto"),
-        "default explain shows the auto heuristic:\n{text}"
+        "default explain shows the auto rule:\n{text}"
     );
-    assert!(text.contains("8192"), "thresholds are spelled out:\n{text}");
+    assert!(
+        text.contains("launches of 2+ items run native"),
+        "the launch-size rule is spelled out:\n{text}"
+    );
 
     rt.set_kernel_tier(Tier::Native);
     let text = plan.explain().unwrap();

@@ -56,9 +56,6 @@ fn main() {
     }
 
     // Native tier: per-kernel compilation outcome and tier decision.
-    use skelcl_kernel::native::{
-        auto_graduates, AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE, AUTO_SIZE_IMMEDIATE,
-    };
     for name in program.kernel_names() {
         let handle = program.kernel(&name).expect("kernel exists");
         let outcome = program.native_outcome(&handle);
@@ -74,21 +71,13 @@ fn main() {
                     println!("   {line}");
                 }
                 println!(
-                    "   auto decision: native from {AUTO_SIZE_IMMEDIATE} items, or after \
-                     {AUTO_MIN_LAUNCHES} launches at {AUTO_MIN_SIZE}+ items"
+                    "   auto decision: launches of 2+ items run native, \
+                     one-item launches on the scalar VM"
                 );
-                for (prior, size) in [(0u64, 64usize), (0, AUTO_SIZE_IMMEDIATE), (32, 1024)] {
-                    let tier = if auto_graduates(prior, size) {
-                        "native"
-                    } else {
-                        "batched VM"
-                    };
-                    println!("     launch #{prior} of {size} item(s) -> {tier}");
-                }
             }
             Err(reason) => {
                 println!("   ineligible: {reason}");
-                println!("   every launch runs on the batched VM (or scalar fallback)");
+                println!("   every launch runs on the scalar VM");
             }
         }
     }

@@ -90,7 +90,7 @@ impl<'a> BufferView<'a> {
     }
 
     /// Write back a value previously read with [`BufferView::load`] without
-    /// any conversion, bit-exactly — the undo path of the batched VM's
+    /// any conversion, bit-exactly — the undo path of the native tier's
     /// rollback. A variant mismatch or out-of-range index is a logic error
     /// (the undo log only ever holds values loaded from this view).
     pub(crate) fn restore(&mut self, idx: usize, value: Value) {

@@ -17,10 +17,11 @@
 //!   bytecode — names resolved to numbered slots, control flow lowered to
 //!   jumps, FLOP/byte costs attributed per instruction at compile time,
 //! * a [`vm`] (register-based bytecode VM) that executes a kernel for one
-//!   work-item at a time against argument [`value::Value`]s and buffer views
-//!   — the fast engine behind every launch,
+//!   work-item at a time against argument [`value::Value`]s and buffer views,
+//! * a [`native`] tier that closure-compiles the bytecode into typed,
+//!   lane-batched blocks — the fast engine behind multi-item launches,
 //! * an [`interp`] (tree-walking interpreter) retained as the
-//!   differential-testing oracle for the VM,
+//!   differential-testing oracle for both,
 //! * a static [`cost`] estimator that counts floating-point and memory
 //!   operations per work-item, used by the simulator's analytical cost model,
 //! * a [`compose`] module with token-level identifier renaming and
@@ -108,9 +109,9 @@ pub struct Program {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchTrace {
     /// The tier that executed the launch (never [`Tier::Auto`]: the
-    /// heuristic's decision is resolved before running). A native launch in
-    /// which no batch completed natively reports [`Tier::Batched`]: its work
-    /// ran on the VM.
+    /// launch-size rule is resolved before running). A native launch in
+    /// which no batch completed natively reports [`Tier::Scalar`]: its work
+    /// ran on the scalar VM.
     pub tier: Tier,
     /// Whether this launch performed the kernel's native compilation (at
     /// most one launch per kernel reports `true`).
@@ -123,7 +124,7 @@ pub struct LaunchTrace {
     /// Lane batches the native tier aborted and replayed through the scalar
     /// VM (divergence, hazards, or runtime errors).
     pub replayed_batches: u64,
-    /// Why the kernel fell back to the batched VM despite a native request
+    /// Why the kernel fell back to the scalar VM despite a native request
     /// (the bytecode shape is ineligible), if it did.
     pub fallback: Option<String>,
 }
@@ -187,8 +188,8 @@ impl Program {
     }
 
     /// Select the execution [`Tier`] for every subsequent launch of this
-    /// program (shared across clones). [`Tier::Auto`] — the default — lets
-    /// the per-kernel heuristic decide.
+    /// program (shared across clones). [`Tier::Auto`] — the default —
+    /// decides per launch by its size (see [`Program::run_ndrange_traced`]).
     pub fn set_tier(&self, tier: Tier) {
         self.native.set_tier(tier);
     }
@@ -280,7 +281,7 @@ impl Program {
     }
 
     /// Execute `kernel` over a one-dimensional NDRange of `global_size`
-    /// work-items, sequentially through the bytecode VM. This is the
+    /// work-items on the selected [`Tier`]. This is the
     /// execution path used by the device simulator (`oclsim`), which models
     /// hardware parallelism in virtual time rather than in host threads.
     pub fn run_ndrange(
@@ -300,11 +301,12 @@ impl Program {
     /// counts — rather than the static [`Program::cost_estimate`] — to charge
     /// virtual time, so data-dependent loops are accounted for exactly.
     ///
-    /// Work-items run through the bytecode VM in lane batches of
-    /// [`vm::BATCH_LANES`] (see the [`vm`] module docs — batching is
-    /// semantically invisible: results, stats and errors are identical to
-    /// the one-item-at-a-time loop); argument validation happens once per
-    /// launch instead of once per item.
+    /// Under [`Tier::Auto`] a launch of two or more work-items runs on the
+    /// native tier in lane batches of [`native::BATCH_LANES`] (see the
+    /// [`native`] module docs — batching is semantically invisible: results,
+    /// stats and errors are identical to the one-item-at-a-time loop of the
+    /// scalar VM, which runs everything else); argument validation happens
+    /// once per launch instead of once per item.
     pub fn run_ndrange_measured(
         &self,
         kernel: &KernelHandle,
@@ -319,13 +321,16 @@ impl Program {
     /// returns a [`LaunchTrace`] describing which engine ran and what the
     /// native tier did. The simulator uses the trace to feed per-device tier
     /// counters; results, stats and errors are identical across tiers.
+    ///
+    /// [`Tier::Auto`] runs a launch of two or more work-items on the native
+    /// tier when the kernel is eligible, and one-item launches (the
+    /// sequential reduce and scan loops) on the scalar VM.
     pub fn run_ndrange_traced(
         &self,
         kernel: &KernelHandle,
         global_size: usize,
         args: &mut [ArgBinding<'_>],
     ) -> Result<(interp::ExecStats, LaunchTrace), KernelError> {
-        let prior = self.native.kernel(kernel.index).note_launch();
         let tier = self.native.tier();
         let mut trace = LaunchTrace {
             tier,
@@ -333,50 +338,30 @@ impl Program {
         };
         let stats = match tier {
             Tier::Interp => self.run_ndrange_measured_interp(kernel, global_size, args)?,
-            Tier::Scalar => self.run_ndrange_measured_scalar(kernel, global_size, args)?,
-            Tier::Batched => self.run_ndrange_measured_batched(kernel, global_size, args)?,
             Tier::Native => self.run_ndrange_native(kernel, global_size, args, &mut trace)?,
-            Tier::Auto => {
-                if native::auto_graduates(prior, global_size) {
-                    self.run_ndrange_native(kernel, global_size, args, &mut trace)?
-                } else {
-                    trace.tier = Tier::Batched;
-                    self.run_ndrange_measured_batched(kernel, global_size, args)?
-                }
+            Tier::Auto if global_size >= 2 => {
+                self.run_ndrange_native(kernel, global_size, args, &mut trace)?
+            }
+            // A one-item native launch is a single-lane batch whose undo
+            // log records every store of the item's loop. Forcing the
+            // `dot_scan` perfbench workload native on a 2-CPU host raised
+            // its peak RSS from 53 to 93–98 MiB, while its iterations ran
+            // about 30 % faster. Lowering such loops to partial
+            // accumulators would lift this rule.
+            Tier::Scalar | Tier::Auto => {
+                trace.tier = Tier::Scalar;
+                self.run_ndrange_measured_scalar(kernel, global_size, args)?
             }
         };
         Ok((stats, trace))
     }
 
-    /// Execute a launch on the batched VM unconditionally (the pre-native
-    /// default path), bypassing tier selection. Benchmarks and differential
-    /// suites use this to pin the batched engine specifically.
-    pub fn run_ndrange_measured_batched(
-        &self,
-        kernel: &KernelHandle,
-        global_size: usize,
-        args: &mut [ArgBinding<'_>],
-    ) -> Result<interp::ExecStats, KernelError> {
-        let mut vm = Vm::new(&self.compiled);
-        vm.bind_kernel(kernel.index, args)?;
-        let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
-        let mut gid = 0;
-        while gid < global_size {
-            let n = (global_size - gid).min(vm::BATCH_LANES);
-            for (k, slot) in items.iter_mut().enumerate().take(n) {
-                *slot = WorkItem::linear(gid + k, global_size);
-            }
-            vm.run_batch(&items[..n], args)?;
-            gid += n;
-        }
-        Ok(vm.stats())
-    }
-
-    /// Run a launch on the native tier, falling back to the batched VM when
+    /// Run a launch on the native tier, falling back to the scalar VM when
     /// the kernel's bytecode is ineligible (recorded in `trace.fallback`).
     /// Aborted batches (divergence, hazards, runtime errors) are rolled back
     /// and replayed through the scalar VM, which is authoritative for
-    /// results, stats and error messages.
+    /// results, stats and error messages; after a bail the scalar VM also
+    /// runs the rest of the launch.
     fn run_ndrange_native(
         &self,
         kernel: &KernelHandle,
@@ -394,8 +379,8 @@ impl Program {
             Ok(nk) => Arc::clone(nk),
             Err(reason) => {
                 trace.fallback = Some(reason.clone());
-                trace.tier = Tier::Batched;
-                return self.run_ndrange_measured_batched(kernel, global_size, args);
+                trace.tier = Tier::Scalar;
+                return self.run_ndrange_measured_scalar(kernel, global_size, args);
             }
         };
         trace.tier = Tier::Native;
@@ -404,45 +389,43 @@ impl Program {
         let stencil = vm.stencil();
         let mut exec = native::NativeExec::new(nk);
         let mut native_stats = interp::ExecStats::default();
-        let mut items = [WorkItem::linear(0, global_size); vm::BATCH_LANES];
+        let mut items = [WorkItem::linear(0, global_size); native::BATCH_LANES];
         let mut gid = 0;
-        let mut bailed = false;
         while gid < global_size {
-            let n = (global_size - gid).min(vm::BATCH_LANES);
+            let n = (global_size - gid).min(native::BATCH_LANES);
             for (k, slot) in items.iter_mut().enumerate().take(n) {
                 *slot = WorkItem::linear(gid + k, global_size);
             }
-            if bailed {
-                vm.run_batch(&items[..n], args)?;
-            } else {
-                match exec.execute_batch(
-                    &items[..n],
-                    args,
-                    stencil,
-                    vm.max_loop_iterations,
-                    &mut native_stats,
-                ) {
-                    Ok(()) => trace.native_batches += 1,
-                    Err(abort) => {
-                        exec.rollback(args);
-                        trace.replayed_batches += 1;
-                        for item in &items[..n] {
-                            vm.run_item(*item, args)?;
-                        }
-                        if abort == native::NativeAbort::Bail {
-                            // Cross-lane hazard or unsupported divergence:
-                            // this kernel shape won't batch; finish the
-                            // launch on the VM (which has its own finer
-                            // rollback machinery).
-                            bailed = true;
-                        }
-                    }
-                }
-            }
             gid += n;
+            let abort = match exec.execute_batch(
+                &items[..n],
+                args,
+                stencil,
+                vm.max_loop_iterations,
+                &mut native_stats,
+            ) {
+                Ok(()) => {
+                    trace.native_batches += 1;
+                    continue;
+                }
+                Err(abort) => abort,
+            };
+            exec.rollback(args);
+            trace.replayed_batches += 1;
+            for item in &items[..n] {
+                vm.run_item(*item, args)?;
+            }
+            if abort == native::NativeAbort::Bail {
+                // Cross-lane hazard or unsupported divergence: this kernel
+                // shape won't batch, so the scalar VM finishes the launch.
+                for g in gid..global_size {
+                    vm.run_item(WorkItem::linear(g, global_size), args)?;
+                }
+                break;
+            }
         }
         if trace.native_batches == 0 && global_size > 0 {
-            trace.tier = Tier::Batched;
+            trace.tier = Tier::Scalar;
         }
         // Both accumulators hold sums of dyadic per-instruction costs well
         // below 2^53, so adding them is exact regardless of order.
@@ -454,10 +437,9 @@ impl Program {
     }
 
     /// Scalar (one-work-item-at-a-time) twin of
-    /// [`Program::run_ndrange_measured`]. Semantically identical — the lane
-    /// batching of the default path is invisible — and kept as a public
-    /// entry point so benchmarks can quantify the batching win and the
-    /// differential suites can pin both paths against the oracle.
+    /// [`Program::run_ndrange_measured`]: the [`Tier::Scalar`] engine,
+    /// callable directly so benchmarks can quantify the native tier's win
+    /// and the differential suites can pin both paths against the oracle.
     pub fn run_ndrange_measured_scalar(
         &self,
         kernel: &KernelHandle,
@@ -490,7 +472,7 @@ impl Program {
     /// Run a *single* work-item of a larger NDRange through the interpreter
     /// oracle and return just that item's measured stats. The differential
     /// suites use this to rebuild a launch's totals strictly per item and
-    /// assert the batched VM's per-batch accumulation equals the sum.
+    /// assert the native tier's per-batch accumulation equals the sum.
     pub fn run_ndrange_measured_interp_item(
         &self,
         kernel: &KernelHandle,

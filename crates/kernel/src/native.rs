@@ -1,11 +1,12 @@
 //! Native execution tier: bytecode closure-compiled into pre-linked basic
 //! blocks over a typed, struct-of-arrays register file.
 //!
-//! The batched VM ([`crate::vm::Vm::run_batch`]) already amortises
-//! instruction *dispatch* over the 64 lanes of a batch, but every lane
-//! operation still goes through the dynamically-typed [`Value`] enum: a
-//! discriminant match per lane per instruction, and results that cannot be
-//! auto-vectorised. This module removes that last interpretation layer:
+//! The scalar VM ([`crate::vm::Vm`]) decodes every instruction once per
+//! work-item and moves every operand through the dynamically-typed [`Value`]
+//! enum: a dispatch and a discriminant match per item per instruction, and
+//! results that cannot be auto-vectorised. This module runs work-items in
+//! lockstep batches of [`BATCH_LANES`] lanes instead and removes both
+//! interpretation layers:
 //!
 //! * a **dataflow typing pass** runs over the basic blocks of the flat
 //!   bytecode and assigns every register *at every program point* one of
@@ -28,15 +29,18 @@
 //!
 //! Execution stays bit-identical to the interpreter oracle. Any shape the
 //! native model cannot reproduce exactly is either rejected at native
-//! compile time (the kernel permanently falls back to the batched VM, with
-//! a human-readable reason) or aborts the batch at runtime exactly like the
-//! batched VM does: every buffer store is rolled back through an undo log
-//! and the batch is replayed through the scalar engine, which is the
-//! authoritative semantics — results, [`crate::interp::ExecStats`] and error
-//! messages included. Single-lane batches skip the cross-lane hazard
-//! discipline entirely (sequential order is trivially preserved), which
-//! makes single-work-item reduce/scan loops native-eligible with arbitrary
-//! addresses.
+//! compile time (the kernel permanently falls back to the scalar VM, with
+//! a human-readable reason) or aborts the batch at runtime: every buffer
+//! store is rolled back through an undo log and the batch is replayed
+//! through the scalar engine, which is the authoritative semantics —
+//! results, [`crate::interp::ExecStats`] and error messages included. All
+//! per-instruction cost constants are dyadic rationals far below 2⁵³, so
+//! charging `cost × active_lanes` per block is exactly the oracle's
+//! per-item, per-instruction sum. Single-lane batches skip the cross-lane
+//! hazard discipline entirely (sequential order is trivially preserved),
+//! which makes single-work-item reduce/scan loops native-eligible with
+//! arbitrary addresses; [`crate::Tier::Auto`] still runs one-item launches
+//! on the scalar VM (see [`crate::Program::run_ndrange_traced`]).
 //!
 //! ## Cross-lane hazards
 //!
@@ -60,7 +64,7 @@
 //! * every other store (strided, scattered) bails.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::ast::BinOp;
@@ -70,7 +74,11 @@ use crate::diag::KernelError;
 use crate::interp::{stencil_get, ArgBinding, BufferView, ExecStats, StencilCtx, WorkItem};
 use crate::types::{ScalarType, Type};
 use crate::value::Value;
-use crate::vm::{exit_chain_cost, vm_eval_binary, BATCH_LANES};
+use crate::vm::{exit_chain_cost, vm_eval_binary};
+
+/// Number of work-items the native tier executes per lockstep batch: the
+/// row width of its struct-of-arrays register file.
+pub const BATCH_LANES: usize = 64;
 
 /// Which execution engine runs kernel launches. Settable per program via
 /// [`crate::Program::set_tier`] or globally via the `SKELCL_KERNEL_TIER`
@@ -81,18 +89,17 @@ pub enum Tier {
     Interp,
     /// The scalar register VM, one work-item at a time.
     Scalar,
-    /// The 64-lane lockstep batched VM.
-    Batched,
     /// The closure-compiled native tier (this module).
     Native,
-    /// Heuristic per-kernel selection: large or hot kernels graduate to the
-    /// native tier, one-shot small kernels stay on the batched VM.
+    /// Per-launch selection by launch size: launches of two or more
+    /// work-items run on the native tier when the kernel is eligible,
+    /// everything else on the scalar VM.
     #[default]
     Auto,
 }
 
 /// Valid tier names, for error messages.
-pub const TIER_NAMES: &str = "interp, scalar, batched, native, auto";
+pub const TIER_NAMES: &str = "interp, scalar, native, auto";
 
 impl Tier {
     /// Parse a tier name (as accepted by `SKELCL_KERNEL_TIER`).
@@ -100,7 +107,6 @@ impl Tier {
         match s.trim().to_ascii_lowercase().as_str() {
             "interp" | "interpreter" => Ok(Tier::Interp),
             "scalar" => Ok(Tier::Scalar),
-            "batched" | "vm" => Ok(Tier::Batched),
             "native" => Ok(Tier::Native),
             "auto" => Ok(Tier::Auto),
             other => Err(KernelError::run(format!(
@@ -113,9 +119,8 @@ impl Tier {
         match self {
             Tier::Interp => 0,
             Tier::Scalar => 1,
-            Tier::Batched => 2,
-            Tier::Native => 3,
-            Tier::Auto => 4,
+            Tier::Native => 2,
+            Tier::Auto => 3,
         }
     }
 
@@ -123,9 +128,8 @@ impl Tier {
         Some(match v {
             0 => Tier::Interp,
             1 => Tier::Scalar,
-            2 => Tier::Batched,
-            3 => Tier::Native,
-            4 => Tier::Auto,
+            2 => Tier::Native,
+            3 => Tier::Auto,
             _ => return None,
         })
     }
@@ -136,7 +140,6 @@ impl std::fmt::Display for Tier {
         f.write_str(match self {
             Tier::Interp => "interp",
             Tier::Scalar => "scalar",
-            Tier::Batched => "batched",
             Tier::Native => "native",
             Tier::Auto => "auto",
         })
@@ -148,23 +151,6 @@ impl std::str::FromStr for Tier {
     fn from_str(s: &str) -> Result<Tier, KernelError> {
         Tier::parse(s)
     }
-}
-
-/// Launches at or above this global size graduate to the native tier
-/// immediately under [`Tier::Auto`]: one launch already amortises the
-/// closure-compilation cost.
-pub const AUTO_SIZE_IMMEDIATE: usize = 8192;
-/// Under [`Tier::Auto`], smaller kernels graduate after this many launches…
-pub const AUTO_MIN_LAUNCHES: u64 = 16;
-/// …provided each launch covers at least this many work-items.
-pub const AUTO_MIN_SIZE: usize = 128;
-
-/// The [`Tier::Auto`] gating heuristic: whether a kernel that has already
-/// launched `prior_launches` times graduates to the native tier for a launch
-/// of `global_size` work-items.
-pub fn auto_graduates(prior_launches: u64, global_size: usize) -> bool {
-    global_size >= AUTO_SIZE_IMMEDIATE
-        || (prior_launches >= AUTO_MIN_LAUNCHES && global_size >= AUTO_MIN_SIZE)
 }
 
 /// Per-[`crate::Program`] native-tier state, shared across clones of the
@@ -207,10 +193,9 @@ impl NativeState {
     }
 }
 
-/// Per-kernel launch counter and cached native compilation result.
+/// Per-kernel cached native compilation result.
 #[derive(Default)]
 pub(crate) struct KernelNativeState {
-    launches: AtomicU64,
     compiled: OnceLock<CompileOutcome>,
 }
 
@@ -223,11 +208,6 @@ pub struct CompileOutcome {
 }
 
 impl KernelNativeState {
-    /// Count a launch; returns the number of launches *before* this one.
-    pub(crate) fn note_launch(&self) -> u64 {
-        self.launches.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The compiled artifact (compiling on first use), plus whether this
     /// call performed the compilation.
     pub(crate) fn get_or_compile(
@@ -418,9 +398,8 @@ impl UndoLog {
     }
 }
 
-/// Why a native batch could not complete. Mirrors the batched VM's abort
-/// protocol: the caller rolls back the undo log and replays the batch
-/// through the scalar engine (authoritative for results, stats and errors);
+/// Why a native batch could not complete. The caller rolls back the undo
+/// log and replays the batch through the scalar engine (authoritative for results, stats and errors);
 /// `Bail` additionally retires the native tier for the launch remainder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NativeAbort {
@@ -1005,7 +984,7 @@ fn transfer(st: &mut [Cell], op: &Op, buffers: &BufferMap) {
 
 /// Reject shapes the native model cannot reproduce bit-exactly, before any
 /// per-block work. The returned string is the (cached) ineligibility reason;
-/// the kernel permanently falls back to the batched VM.
+/// the kernel permanently falls back to the scalar VM.
 fn check_eligible(
     unit: &CompiledUnit,
     func: &crate::compile::CompiledFunction,
@@ -2214,30 +2193,22 @@ mod tests {
 
     #[test]
     fn tier_parse_round_trips_and_aliases() {
-        for t in [
-            Tier::Interp,
-            Tier::Scalar,
-            Tier::Batched,
-            Tier::Native,
-            Tier::Auto,
-        ] {
+        for t in [Tier::Interp, Tier::Scalar, Tier::Native, Tier::Auto] {
             assert_eq!(Tier::parse(&t.to_string()).unwrap(), t);
             assert_eq!(Tier::from_u8(t.as_u8()), Some(t));
         }
-        assert_eq!(Tier::parse(" VM ").unwrap(), Tier::Batched);
+        assert_eq!(Tier::parse(" Native ").unwrap(), Tier::Native);
         assert_eq!(Tier::parse("Interpreter").unwrap(), Tier::Interp);
-        let err = Tier::parse("warp").unwrap_err();
-        assert!(err.message.contains("unknown kernel tier `warp`"));
-        assert!(err.message.contains("native"));
-    }
-
-    #[test]
-    fn auto_heuristic_gates_on_size_and_heat() {
-        assert!(auto_graduates(0, AUTO_SIZE_IMMEDIATE));
-        assert!(!auto_graduates(0, AUTO_SIZE_IMMEDIATE - 1));
-        assert!(auto_graduates(AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE));
-        assert!(!auto_graduates(AUTO_MIN_LAUNCHES - 1, AUTO_MIN_SIZE));
-        assert!(!auto_graduates(AUTO_MIN_LAUNCHES, AUTO_MIN_SIZE - 1));
+        // The removed batched VM's names are unknown like any other.
+        for name in ["warp", "batched", "vm"] {
+            let err = Tier::parse(name).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!(
+                    "unknown kernel tier `{name}`: expected one of interp, scalar, native, auto"
+                )
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Differential tests for the native execution tier: native ≡ batched VM ≡
-//! scalar VM ≡ interpreter, on results (bit for bit), measured [`ExecStats`]
-//! and error messages, across control flow, divergence, cross-lane hazards,
-//! division by zero, early exit and stencil `get(dx, dy)` kernels — plus
-//! unit tests of the `Tier::Auto` gating heuristic (one-shot kernels stay on
-//! the VM, hot or large kernels graduate).
+//! Differential tests for the native execution tier: native ≡ scalar VM ≡
+//! interpreter, on results (bit for bit), measured [`ExecStats`] and error
+//! messages, across control flow, divergence, cross-lane hazards, division
+//! by zero, early exit and stencil `get(dx, dy)` kernels — plus tests of the
+//! `Tier::Auto` launch-size rule (launches of two or more work-items run
+//! natively, one-item launches and bailed launches on the scalar VM).
 
 use proptest::prelude::*;
 
@@ -17,11 +17,10 @@ type Outcome = Result<(Vec<Vec<f32>>, ExecStats), String>;
 enum Engine {
     Interp,
     Scalar,
-    Batched,
     Native,
 }
 
-const ENGINES: [Engine; 3] = [Engine::Scalar, Engine::Batched, Engine::Native];
+const ENGINES: [Engine; 2] = [Engine::Scalar, Engine::Native];
 
 fn run_engine(
     src: &str,
@@ -62,7 +61,6 @@ fn run_engine_keeping_buffers(
     let stats = match engine {
         Engine::Interp => p.run_ndrange_measured_interp(&k, global_size, &mut args),
         Engine::Scalar => p.run_ndrange_measured_scalar(&k, global_size, &mut args),
-        Engine::Batched => p.run_ndrange_measured_batched(&k, global_size, &mut args),
         Engine::Native => p.run_ndrange_measured(&k, global_size, &mut args),
     };
     drop(args);
@@ -395,7 +393,7 @@ proptest! {
         if let Ok(trace) = traced {
             prop_assert_eq!(trace.tier, Tier::Native);
             prop_assert_eq!(trace.replayed_batches, 0);
-            prop_assert_eq!(trace.native_batches as usize, n.div_ceil(skelcl_kernel::vm::BATCH_LANES));
+            prop_assert_eq!(trace.native_batches as usize, n.div_ceil(skelcl_kernel::native::BATCH_LANES));
         }
     }
 }
@@ -472,7 +470,7 @@ fn cross_lane_hazards_roll_back_and_replay_exactly() {
             v[gid] += v[(gid + 1) % n];
         }
     "#;
-    let n = 2 * skelcl_kernel::vm::BATCH_LANES + 3;
+    let n = 2 * skelcl_kernel::native::BATCH_LANES + 3;
     let data: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
     assert_tiers_agree(src, "k", &[data], &[Value::Int(n as i32)], n);
 }
@@ -489,7 +487,7 @@ fn assert_hazard_replays_exactly(body: &str) {
              {body}\n\
          }}\n"
     );
-    let n = 2 * skelcl_kernel::vm::BATCH_LANES + 5;
+    let n = 2 * skelcl_kernel::native::BATCH_LANES + 5;
     let v: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
     let o: Vec<f32> = (0..n + 2).map(|i| (i % 7) as f32 * 0.5).collect();
     let buffers = [v, o];
@@ -548,26 +546,36 @@ fn out_of_bounds_shifted_store_replays_the_error() {
     assert_hazard_replays_exactly("o[gid + 3] = v[gid];");
 }
 
-/// A kernel whose first batch bails finishes the launch on the VM, so the
-/// launch counts as batched and reports the replayed batch.
+/// Under `Tier::Auto`, a kernel whose first batch bails finishes the launch
+/// on the scalar VM, so the launch counts as scalar and reports the replayed
+/// batch.
 #[test]
-fn fully_replayed_native_launches_report_the_batched_tier() {
+fn fully_bailed_native_launches_report_the_scalar_tier() {
     let src = "__kernel void k(__global float* v, __global float* o, int n) {\n\
                    int gid = get_global_id(0);\n\
                    o[2 * gid] = v[gid];\n\
                }\n";
-    let n = 2 * skelcl_kernel::vm::BATCH_LANES;
-    let trace = native_trace(
-        src,
-        "k",
-        &[vec![1.0; n], vec![0.0; 2 * n]],
-        &[Value::Int(n as i32)],
-        n,
-    )
-    .expect("launch succeeds");
-    assert_eq!(trace.tier, Tier::Batched);
+    let p = Program::build(src).unwrap();
+    p.set_tier(Tier::Auto);
+    let k = p.kernel("k").unwrap();
+    let n = 2 * skelcl_kernel::native::BATCH_LANES;
+    let mut v = vec![1.0f32; n];
+    let mut o = vec![0.0f32; 2 * n];
+    let mut args = vec![
+        ArgBinding::buffer_f32(&mut v),
+        ArgBinding::buffer_f32(&mut o),
+        ArgBinding::Scalar(Value::Int(n as i32)),
+    ];
+    let (_, trace) = p.run_ndrange_traced(&k, n, &mut args).unwrap();
+    assert_eq!(trace.tier, Tier::Scalar);
+    assert!(trace.native_compiled, "the launch tried the native tier");
     assert_eq!(trace.native_batches, 0);
     assert_eq!(trace.replayed_batches, 1);
+    drop(args);
+    assert!(
+        o.iter().step_by(2).all(|x| *x == 1.0),
+        "the VM ran every item"
+    );
 }
 
 /// Compound assignment and increment quirks: in-place forms (`x = x op y`)
@@ -651,41 +659,33 @@ fn traced_launch(p: &Program, n: usize) -> skelcl_kernel::LaunchTrace {
 }
 
 #[test]
-fn one_shot_small_kernels_stay_on_the_batched_vm() {
+fn one_item_launches_report_the_scalar_tier() {
     let p = Program::build(MAP_SRC).unwrap();
     p.set_tier(Tier::Auto);
-    let trace = traced_launch(&p, 1024);
-    assert_eq!(trace.tier, Tier::Batched);
-    assert!(!trace.native_compiled);
-    assert_eq!(trace.native_batches, 0);
+    for _ in 0..3 {
+        let trace = traced_launch(&p, 1);
+        assert_eq!(trace.tier, Tier::Scalar);
+        assert!(!trace.native_compiled, "one-item launches never compile");
+        assert_eq!(trace.native_batches, 0);
+    }
 }
 
 #[test]
-fn hot_kernels_graduate_to_native_after_repeated_launches() {
+fn two_item_launches_run_natively_on_their_first_launch() {
     let p = Program::build(MAP_SRC).unwrap();
     p.set_tier(Tier::Auto);
-    let mut graduated_at = None;
-    for launch in 0..skelcl_kernel::native::AUTO_MIN_LAUNCHES + 4 {
-        let trace = traced_launch(&p, skelcl_kernel::native::AUTO_MIN_SIZE);
-        if trace.tier == Tier::Native && graduated_at.is_none() {
-            graduated_at = Some(launch);
-            assert!(trace.native_compiled, "first native launch compiles");
-            assert!(trace.native_batches > 0);
-            assert!(trace.fallback.is_none());
-        }
-    }
-    assert_eq!(
-        graduated_at,
-        Some(skelcl_kernel::native::AUTO_MIN_LAUNCHES),
-        "kernel graduates exactly when prior launches reach the threshold"
-    );
+    let trace = traced_launch(&p, 2);
+    assert_eq!(trace.tier, Tier::Native);
+    assert!(trace.native_compiled, "the first launch compiles");
+    assert_eq!(trace.native_batches, 1);
+    assert!(trace.fallback.is_none());
 }
 
 #[test]
 fn large_launches_graduate_immediately_and_cache_the_artifact() {
     let p = Program::build(MAP_SRC).unwrap();
     p.set_tier(Tier::Auto);
-    let n = skelcl_kernel::native::AUTO_SIZE_IMMEDIATE;
+    let n = 8192;
     let first = traced_launch(&p, n);
     assert_eq!(first.tier, Tier::Native);
     assert!(first.native_compiled);
@@ -711,7 +711,7 @@ fn forced_native_on_ineligible_kernels_falls_back_with_a_reason() {
     let p = Program::build(src).unwrap();
     p.set_tier(Tier::Native);
     let trace = traced_launch(&p, 16);
-    assert_eq!(trace.tier, Tier::Batched, "fell back to the batched VM");
+    assert_eq!(trace.tier, Tier::Scalar, "fell back to the scalar VM");
     let reason = trace.fallback.expect("fallback reason recorded");
     assert!(reason.contains("through a VM frame"), "reason: {reason}");
     // And the fallback still computes the right answer.
@@ -721,7 +721,7 @@ fn forced_native_on_ineligible_kernels_falls_back_with_a_reason() {
 #[test]
 fn explicit_tier_override_is_respected_per_program() {
     let p = Program::build(MAP_SRC).unwrap();
-    for tier in [Tier::Interp, Tier::Scalar, Tier::Batched, Tier::Native] {
+    for tier in [Tier::Interp, Tier::Scalar, Tier::Native] {
         p.set_tier(tier);
         assert_eq!(p.tier(), tier);
         let trace = traced_launch(&p, 64);

@@ -1,7 +1,8 @@
-//! Differential property tests: the bytecode VM against the tree-walking
-//! interpreter oracle.
+//! Differential property tests: the default launch path (the native tier
+//! for multi-item launches of eligible kernels, the scalar bytecode VM for
+//! the rest) against the tree-walking interpreter oracle.
 //!
-//! Every kernel here runs through **both** engines on identical inputs; the
+//! Every kernel here runs through **both** paths on identical inputs; the
 //! suite asserts bit-identical output buffers AND identical measured
 //! [`ExecStats`] (flops, global-memory bytes, op counts). Errors must agree
 //! too — same failure, same message. Coverage: control-flow edge cases
@@ -611,13 +612,14 @@ fn buffer_parameter_read_as_value_is_the_same_error() {
 // Lane-batched accumulation vs the oracle's per-item totals
 // ---------------------------------------------------------------------------
 //
-// `Program::run_ndrange_measured` executes work-items in lockstep batches and
-// accumulates `ExecStats` once per batch (`cost × active_lanes`). These tests
-// pin the accumulation identity the batched path must uphold: the per-batch
-// totals equal the interpreter oracle's per-item totals *exactly* (all cost
-// constants are dyadic rationals, so no summation order may differ), at every
-// batch-boundary shape — full batches, ragged tails, single-item launches —
-// and through the early-exit lane mask.
+// `Program::run_ndrange_measured` executes multi-item launches in the native
+// tier's lockstep batches and accumulates `ExecStats` once per block
+// (`cost × active_lanes`). These tests pin the accumulation identity that
+// path must uphold: the per-batch totals equal the interpreter oracle's
+// per-item totals *exactly* (all cost constants are dyadic rationals, so no
+// summation order may differ), at every batch-boundary shape — full
+// batches, ragged tails, single-item launches — and through the early-exit
+// lane mask.
 
 /// Oracle totals accumulated strictly one item at a time.
 fn oracle_per_item_totals(
@@ -651,7 +653,7 @@ fn oracle_per_item_totals(
 }
 
 /// The guarded map shape at sizes straddling every batch boundary: the
-/// batched engine's per-batch totals must equal the oracle's per-item sums
+/// native tier's per-batch totals must equal the oracle's per-item sums
 /// bit for bit, and so must the output buffers.
 #[test]
 fn per_batch_totals_equal_oracle_per_item_totals_across_batch_shapes() {
@@ -666,7 +668,7 @@ fn per_batch_totals_equal_oracle_per_item_totals_across_batch_shapes() {
     "#;
     let p = Program::build(src).unwrap();
     let k = p.kernel("SKELCL_MAP").unwrap();
-    let batch = skelcl_kernel::vm::BATCH_LANES;
+    let batch = skelcl_kernel::native::BATCH_LANES;
     for n in [1, 2, batch - 1, batch, batch + 1, 3 * batch, 3 * batch + 7] {
         let input: Vec<f32> = (0..n).map(|i| i as f32 * 0.25 - 3.0).collect();
         let scalars = [Value::Int(n as i32), Value::Float(1.5)];
@@ -705,7 +707,7 @@ fn lane_mask_exit_charging_matches_the_oracle() {
     "#;
     let p = Program::build(src).unwrap();
     let k = p.kernel("k").unwrap();
-    let batch = skelcl_kernel::vm::BATCH_LANES;
+    let batch = skelcl_kernel::native::BATCH_LANES;
     // Launch over more items than the buffer holds valid elements: the tail
     // lanes take the guard's exit path inside a live batch.
     for (len, launch) in [(10, 16), (batch + 5, batch + batch / 2), (3, 3 * batch)] {
@@ -752,7 +754,7 @@ fn rollback_and_replay_paths_match_the_oracle() {
             v[gid] = acc;
         }
     "#;
-    let batch = skelcl_kernel::vm::BATCH_LANES;
+    let batch = skelcl_kernel::native::BATCH_LANES;
     for src in [hazard, divergent] {
         let n = 2 * batch + 3;
         let data: Vec<f32> = (0..n).map(|i| (i % 13) as f32 - 6.0).collect();
@@ -760,10 +762,10 @@ fn rollback_and_replay_paths_match_the_oracle() {
     }
 }
 
-/// The scalar VM entry point and the batched default must agree with each
-/// other (and the oracle) on a data-dependent workload.
+/// The scalar VM entry point and the default (native) path must agree with
+/// each other on a data-dependent workload.
 #[test]
-fn scalar_and_batched_vm_paths_are_identical() {
+fn scalar_vm_and_default_paths_are_identical() {
     let src = r#"
         __kernel void k(__global float* v, int n) {
             int gid = get_global_id(0);
@@ -793,8 +795,8 @@ fn scalar_and_batched_vm_paths_are_identical() {
     let sb = p.run_ndrange_measured_scalar(&k, n, &mut args).unwrap();
     drop(args);
 
-    assert_eq!(sa, sb, "batched and scalar stats must be identical");
+    assert_eq!(sa, sb, "default and scalar stats must be identical");
     let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
     let bb: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(ab, bb, "batched and scalar results must be identical");
+    assert_eq!(ab, bb, "default and scalar results must be identical");
 }

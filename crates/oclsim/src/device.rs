@@ -178,7 +178,6 @@ impl BufferPool {
 struct TierCounters {
     interp: AtomicUsize,
     scalar: AtomicUsize,
-    batched: AtomicUsize,
     native: AtomicUsize,
     native_replayed: AtomicUsize,
     compiles: AtomicUsize,
@@ -186,17 +185,15 @@ struct TierCounters {
 }
 
 /// Snapshot of one device's kernel-tier telemetry (see
-/// [`Device::kernel_tiers`]). Native launches that fall back to the batched
+/// [`Device::kernel_tiers`]). Native launches that fall back to the scalar
 /// VM, because the kernel is ineligible or because no batch completed
-/// natively, count as batched launches.
+/// natively, count as scalar launches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
     /// DSL launches executed by the AST interpreter.
     pub interp_launches: usize,
     /// DSL launches executed by the scalar (one-item-at-a-time) VM.
     pub scalar_launches: usize,
-    /// DSL launches executed by the lane-batched VM.
-    pub batched_launches: usize,
     /// DSL launches executed by the closure-compiled native tier.
     pub native_launches: usize,
     /// Lane batches the native tier aborted and replayed on the scalar VM
@@ -358,7 +355,6 @@ impl Device {
         let counter = match trace.tier {
             Tier::Interp => &self.tiers.interp,
             Tier::Scalar => &self.tiers.scalar,
-            Tier::Batched => &self.tiers.batched,
             // The trace's tier is always resolved before execution.
             Tier::Native | Tier::Auto => &self.tiers.native,
         };
@@ -379,7 +375,6 @@ impl Device {
         TierSnapshot {
             interp_launches: self.tiers.interp.load(Ordering::Relaxed),
             scalar_launches: self.tiers.scalar.load(Ordering::Relaxed),
-            batched_launches: self.tiers.batched.load(Ordering::Relaxed),
             native_launches: self.tiers.native.load(Ordering::Relaxed),
             native_replayed_batches: self.tiers.native_replayed.load(Ordering::Relaxed),
             native_compiles: self.tiers.compiles.load(Ordering::Relaxed),

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Kernel-engine performance trajectory: runs the criterion benches that cover
 # the kernel language and skeletons, then regenerates BENCH_kernel_vm.json
-# (elements/sec for map/zip/reduce/scan at 1M elements, AST interpreter vs
-# bytecode VM) at the repository root.
+# (elements/sec for map/zip/reduce/scan at 1M elements and the 256x256
+# map_overlap stencil: AST interpreter vs scalar VM vs native tier) at the
+# repository root.
 #
 # Usage:
 #   scripts/bench_kernel_vm.sh            # full run, rewrites BENCH_kernel_vm.json

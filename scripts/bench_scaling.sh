@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Device-scaling performance trajectory: runs the scaling_bench harness,
 # which measures wall-clock AND virtual-time elements/sec for 1-4 simulated
-# devices over {map-chain, reduce, heat_diffusion} plus the lane-batched vs
-# scalar VM column, and regenerates BENCH_scaling.json at the repository
-# root.
+# devices over {map-chain, reduce, heat_diffusion}, and regenerates
+# BENCH_scaling.json at the repository root.
 #
 # Wall-clock scaling requires real host cores for the per-device worker
 # threads; the JSON records `host_cpus` so a single-core CI host's parity
